@@ -1,7 +1,7 @@
 """Command-line front end: config parsing, orchestration, report emission.
 
 Usage:
-    ersc <command> --config <path> [--out <dir>] [--workers N] [--seed S]
+    ersc <command> --config <path> [--out <dir>] [--seed S]
 
 Commands: eigen, hjb, game, sweep-eps, sweep-kappa, simulate, verify-var,
 check-assumptions, rep-check.  Configs are YAML with nested blocks (model,
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -340,7 +339,7 @@ def emit_plot_data(report: dict, out_dir, expected=None) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_eigen(cfg, out_dir, workers, seed):
+def _cmd_eigen(cfg, out_dir, seed):
     model = build_model(cfg)
     grid = build_grid_from_cfg(cfg)
     opts = _solver_opts(cfg)
@@ -360,7 +359,7 @@ def _cmd_eigen(cfg, out_dir, workers, seed):
     }
 
 
-def _cmd_hjb(cfg, out_dir, workers, seed):
+def _cmd_hjb(cfg, out_dir, seed):
     model = build_model(cfg)
     grid = build_grid_from_cfg(cfg)
     opts = _solver_opts(cfg)
@@ -384,7 +383,7 @@ def _cmd_hjb(cfg, out_dir, workers, seed):
     }
 
 
-def _cmd_game(cfg, out_dir, workers, seed):
+def _cmd_game(cfg, out_dir, seed):
     model = build_model(cfg)
     grid = build_grid_from_cfg(cfg)
     opts = _solver_opts(cfg)
@@ -411,10 +410,8 @@ def _cmd_game(cfg, out_dir, workers, seed):
             tol=opts["tol"],
             family=family,
             scheme=opts["scheme"],
-            workers=workers,
         )
         out["game_entries"] = [[l, v] for l, v in entries]
-        write_csv(out_dir / "rho_vs_l.csv", ["l", "rho"], out["game_entries"])
         l = float(l_list[-1])
     else:
         l = float(block.get("l", 8.0))
@@ -441,7 +438,7 @@ def _cmd_game(cfg, out_dir, workers, seed):
     return out
 
 
-def _cmd_sweep_eps(cfg, out_dir, workers, seed):
+def _cmd_sweep_eps(cfg, out_dir, seed):
     model = build_model(cfg)
     grid = build_grid_from_cfg(cfg)
     opts = _solver_opts(cfg)
@@ -460,20 +457,16 @@ def _cmd_sweep_eps(cfg, out_dir, workers, seed):
             raise ConfigError(
                 f"epsilon {e} violates the budget (1 - C3)/8 = {family.eps0:g}"
             )
-    res = epsilon_sweep(
-        model, grid, family, eps_list, tol=opts["tol"], workers=workers, scheme=opts["scheme"]
-    )
-    entries = [[e, v] for e, v in res.entries]
-    write_csv(out_dir / "value_vs_epsilon.csv", ["epsilon", "lambda_sm"], entries)
+    res = epsilon_sweep(model, grid, family, eps_list, tol=opts["tol"], scheme=opts["scheme"])
     return {
-        "epsilon_entries": entries,
+        "epsilon_entries": [[e, v] for e, v in res.entries],
         "base_value": res.base_value,
         "gaps": res.gaps,
         "slope": res.slope,
     }
 
 
-def _cmd_sweep_kappa(cfg, out_dir, workers, seed):
+def _cmd_sweep_kappa(cfg, out_dir, seed):
     model = build_model(cfg)
     grid = build_grid_from_cfg(cfg)
     opts = _solver_opts(cfg)
@@ -486,15 +479,10 @@ def _cmd_sweep_kappa(cfg, out_dir, workers, seed):
             raise ConfigError(f"kappa {k} outside (0, 1]")
     res = kappa_sweep(model, grid, [float(k) for k in kappas], scheme=opts["scheme"])
     entries = [[k, v, v - res.lambda_zero] for (k, v) in res.entries]
-    write_csv(
-        out_dir / "value_vs_kappa.csv",
-        ["kappa", "lambda_kappa", "lambda_zero_gap"],
-        entries,
-    )
     return {"kappa_entries": entries, "lambda_zero": res.lambda_zero}
 
 
-def _cmd_simulate(cfg, out_dir, workers, seed):
+def _cmd_simulate(cfg, out_dir, seed):
     model = build_model(cfg)
     grid = build_grid_from_cfg(cfg) if "grid" in cfg else None
     sim_cfg = _sim_config(cfg, model, seed_override=seed)
@@ -531,7 +519,7 @@ def _cmd_simulate(cfg, out_dir, workers, seed):
     return out
 
 
-def _cmd_verify_var(cfg, out_dir, workers, seed):
+def _cmd_verify_var(cfg, out_dir, seed):
     block = cfg.get("verify", {})
     n_spaces = int(block.get("n_spaces", 1000))
     max_atoms = int(block.get("max_atoms", 64))
@@ -556,7 +544,7 @@ def _cmd_verify_var(cfg, out_dir, workers, seed):
     return {"n_spaces": n_spaces, "max_gap": max_gap, "inequality_ok": ineq_ok}
 
 
-def _cmd_check_assumptions(cfg, out_dir, workers, seed):
+def _cmd_check_assumptions(cfg, out_dir, seed):
     model = build_model(cfg)
     grid = build_grid_from_cfg(cfg)
     block = _need(cfg, "assumptions")
@@ -585,7 +573,7 @@ def _cmd_check_assumptions(cfg, out_dir, workers, seed):
     }
 
 
-def _cmd_rep_check(cfg, out_dir, workers, seed):
+def _cmd_rep_check(cfg, out_dir, seed):
     model = build_model(cfg)
     grid = build_grid_from_cfg(cfg)
     opts = _solver_opts(cfg)
@@ -633,7 +621,7 @@ _DISPATCH = {
 }
 
 
-def run(command: str, config_path, out_dir=None, workers: int = 1, seed=None) -> dict:
+def run(command: str, config_path, out_dir=None, seed=None) -> dict:
     """Execute one command and return its report (also written to report.json)."""
     if command not in _DISPATCH:
         raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
@@ -643,7 +631,7 @@ def run(command: str, config_path, out_dir=None, workers: int = 1, seed=None) ->
     out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    results = _DISPATCH[command](cfg, out_dir, workers, seed)
+    results = _DISPATCH[command](cfg, out_dir, seed)
     wall = time.perf_counter() - t0
 
     report = {
@@ -667,11 +655,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=int(os.environ.get("ERSC_WORKERS", "1")),
-    )
     parser.add_argument("--seed", type=int, default=None)
     try:
         args = parser.parse_args(argv)
@@ -682,7 +665,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        report = run(args.command, args.config, args.out, args.workers, args.seed)
+        report = run(args.command, args.config, args.out, args.seed)
     except ConfigError as exc:
         print(f"ERROR:config: {exc}", file=sys.stderr)
         return 2

@@ -16,15 +16,17 @@ terms are differenced per the ``scheme`` argument:
     "upwind"  one-sided on the sign of b_i (first-order, always monotone);
     "central" central everywhere, raising if monotonicity fails.
 
-The same stencil coefficients drive both sparse assembly and direct
-row-application to a vector, so policy-improvement sweeps and assembled
-matrices agree to rounding.
+One list of stencil edges (axial +/- per axis, four corner edges per
+correlated axis pair) drives both sparse assembly and direct row-application
+to a vector, so policy-improvement sweeps and assembled matrices agree to
+rounding.  Row-application takes a stack of per-control drift fields and
+returns the rows of every control in one call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -156,6 +158,21 @@ class GeneratorMatrix:
                 fh.write(f"{int(r)} {int(c)} {float(v)!r}\n")
 
 
+class _Edge(NamedTuple):
+    """One stencil edge: every node's move to ``target`` (itself where invalid).
+
+    ``rate`` is the diffusive rate, already zero where ``ok`` is False.
+    Axial edges also carry the drift axis and side (+1 / -1) whose
+    first-order rate they add; corner edges have ``side`` 0.
+    """
+
+    target: np.ndarray
+    ok: np.ndarray
+    rate: np.ndarray
+    axis: int = -1
+    side: int = 0
+
+
 class OperatorKernel:
     """Precomputed stencil data for one (model, grid, scheme) triple.
 
@@ -198,8 +215,24 @@ class OperatorKernel:
             )
         self.q_ax = np.maximum(q_ax, 0.0)
 
-        # corner stencils for correlated noise
-        self.corners = []
+        # the stencil: axial +/- edges per axis, then the four corner edges of
+        # each correlated axis pair (sign-aware splitting of A_ij)
+        base = np.arange(self.n, dtype=np.int64)
+        valid = [
+            {1: self.I[:, i] < grid.counts[i] - 1, -1: self.I[:, i] > 0}
+            for i in range(self.dim)
+        ]
+
+        def edge(steps, rate, axis=-1, side=0):
+            ok = np.logical_and.reduce([valid[i][s] for i, s in steps])
+            shift = sum(s * int(self.strides[i]) for i, s in steps)
+            return _Edge(np.where(ok, base + shift, base), ok, rate * ok, axis, side)
+
+        self.edges = [
+            edge([(i, side)], self.q_ax[:, i], i, side)
+            for i in range(self.dim)
+            for side in (1, -1)
+        ]
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 aij = A[:, i, j]
@@ -207,28 +240,20 @@ class OperatorKernel:
                     continue
                 pos = np.maximum(aij, 0.0) / (2.0 * self.h[i] * self.h[j])
                 neg = np.maximum(-aij, 0.0) / (2.0 * self.h[i] * self.h[j])
-                self.corners.append((i, j, pos, neg))
-
-        # neighbor bookkeeping per axis: (target index, validity mask)
-        self.nbr = []
-        for i in range(self.dim):
-            ok_plus = self.I[:, i] < grid.counts[i] - 1
-            ok_minus = self.I[:, i] > 0
-            base = np.arange(self.n, dtype=np.int64)
-            self.nbr.append(
-                (
-                    np.where(ok_plus, base + self.strides[i], base),
-                    ok_plus,
-                    np.where(ok_minus, base - self.strides[i], base),
-                    ok_minus,
-                )
-            )
+                for rate, si, sj in ((pos, 1, 1), (pos, -1, -1), (neg, 1, -1), (neg, -1, 1)):
+                    self.edges.append(edge([(i, si), (j, sj)], rate))
 
     # -- drift differencing -------------------------------------------------
 
     def drift_rates(self, b_vals: np.ndarray):
-        """Per-node transition-rate contributions (minus, plus) of a drift field."""
-        b = np.asarray(b_vals, dtype=float).reshape(self.n, self.dim)
+        """Per-node transition-rate contributions (minus, plus) of a drift field.
+
+        ``b_vals`` is one (n, d) field or a (k, n, d) stack of them; the rates
+        have the same shape.
+        """
+        b = np.asarray(b_vals, dtype=float)
+        if b.ndim < 3:
+            b = b.reshape(self.n, self.dim)
         if self.scheme == "upwind":
             central = np.zeros_like(b, dtype=bool)
         elif self.scheme == "central":
@@ -239,9 +264,9 @@ class OperatorKernel:
         minus = np.where(central, -b / (2.0 * self.h), np.maximum(-b, 0.0) / self.h)
         if self.scheme == "central":
             viol = np.minimum(self.q_ax + plus, self.q_ax + minus)
-            bad = np.where(viol < -1e-14)
-            if bad[0].size:
-                node = int(bad[0][0])
+            bad = np.argwhere(viol < -1e-14)
+            if bad.size:
+                node = int(bad[0][-2])
                 raise GridSchemeError(
                     f"central drift differencing loses monotonicity at node {node} "
                     f"(x={self.coords[node]}); use scheme='hybrid' or refine the grid"
@@ -251,44 +276,30 @@ class OperatorKernel:
     # -- application to a vector --------------------------------------------
 
     def apply_diffusion(self, V: np.ndarray) -> np.ndarray:
-        """Control-independent second-order part of Q V."""
+        """Control-independent second-order part of Q V, shape (n,)."""
         V = np.asarray(V, dtype=float)
         out = np.zeros(self.n)
-        for i in range(self.dim):
-            ip, okp, im, okm = self.nbr[i]
-            out += self.q_ax[:, i] * okp * (V[ip] - V)
-            out += self.q_ax[:, i] * okm * (V[im] - V)
-        for i, j, pos, neg in self.corners:
-            out += self._corner_apply(V, i, j, pos, neg)
-        return out
-
-    def _corner_apply(self, V, i, j, pos, neg):
-        ipp, okpi, imm, okmi = self.nbr[i]
-        jpp, okpj, jmm, okmj = self.nbr[j]
-        out = np.zeros(self.n)
-        for rate, oki, di, okj, dj in (
-            (pos, okpi, self.strides[i], okpj, self.strides[j]),
-            (pos, okmi, -self.strides[i], okmj, -self.strides[j]),
-            (neg, okpi, self.strides[i], okmj, -self.strides[j]),
-            (neg, okmi, -self.strides[i], okpj, self.strides[j]),
-        ):
-            ok = oki & okj
-            tgt = np.where(ok, np.arange(self.n) + di + dj, 0)
-            out += rate * ok * (V[tgt] - V)
+        for e in self.edges:
+            out += e.rate * (V[e.target] - V)
         return out
 
     def apply_drift(self, b_vals: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """First-order part of Q V for the drift field ``b_vals``."""
+        """First-order part of Q V for the drift field ``b_vals``.
+
+        A (n, d) field gives shape (n,); a (k, n, d) stack of per-control
+        fields gives the (k, n) rows of every control at once.
+        """
         V = np.asarray(V, dtype=float)
         minus, plus = self.drift_rates(b_vals)
-        out = np.zeros(self.n)
-        for i in range(self.dim):
-            ip, okp, im, okm = self.nbr[i]
-            out += plus[:, i] * okp * (V[ip] - V)
-            out += minus[:, i] * okm * (V[im] - V)
+        out = np.zeros(plus.shape[:-1])
+        for e in self.edges:
+            if e.side:
+                rates = plus if e.side > 0 else minus
+                out += rates[..., e.axis] * e.ok * (V[e.target] - V)
         return out
 
     def apply(self, b_vals: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """(Q V) for a (n, d) drift field, or its (k, n) rows for a (k, n, d) stack."""
         return self.apply_diffusion(V) + self.apply_drift(b_vals, V)
 
     # -- sparse assembly ------------------------------------------------------
@@ -299,34 +310,15 @@ class OperatorKernel:
         rows, cols, vals = [], [], []
         diag = np.zeros(self.n)
         base = np.arange(self.n, dtype=np.int64)
-
-        for i in range(self.dim):
-            ip, okp, im, okm = self.nbr[i]
-            rp = (self.q_ax[:, i] + plus[:, i]) * okp
-            rm = (self.q_ax[:, i] + minus[:, i]) * okm
-            for rate, tgt, ok in ((rp, ip, okp), (rm, im, okm)):
-                m = ok & (rate != 0.0)
-                rows.append(base[m])
-                cols.append(tgt[m])
-                vals.append(rate[m])
-                diag -= rate * ok
-
-        for i, j, pos, neg in self.corners:
-            _, okpi, _, okmi = self.nbr[i]
-            _, okpj, _, okmj = self.nbr[j]
-            for rate, oki, di, okj, dj in (
-                (pos, okpi, self.strides[i], okpj, self.strides[j]),
-                (pos, okmi, -self.strides[i], okmj, -self.strides[j]),
-                (neg, okpi, self.strides[i], okmj, -self.strides[j]),
-                (neg, okmi, -self.strides[i], okpj, self.strides[j]),
-            ):
-                ok = oki & okj
-                m = ok & (rate != 0.0)
-                rows.append(base[m])
-                cols.append(base[m] + di + dj)
-                vals.append(rate[m])
-                diag -= rate * ok
-
+        for e in self.edges:
+            rate = e.rate
+            if e.side:
+                rate = rate + (plus if e.side > 0 else minus)[:, e.axis] * e.ok
+            m = e.ok & (rate != 0.0)
+            rows.append(base[m])
+            cols.append(e.target[m])
+            vals.append(rate[m])
+            diag -= rate
         rows.append(base)
         cols.append(base)
         vals.append(diag)
@@ -336,42 +328,11 @@ class OperatorKernel:
         ).tocsr()
         return GeneratorMatrix(matrix=mat, control=control_tag)
 
-    # -- drift fields ----------------------------------------------------------
-
     def control_drift(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         return np.asarray(self.model.drift(self.coords, u), dtype=float).reshape(
             self.n, self.dim
         )
-
-    def policy_drift(self, policy) -> np.ndarray:
-        """Per-node drift under a precise or relaxed Markov policy."""
-        pts = self.model.controls.points
-        if getattr(policy, "is_relaxed", False):
-            W = policy.weight_matrix(len(pts))
-            b = np.zeros((self.n, self.dim))
-            for k, u in enumerate(pts):
-                wk = W[:, k]
-                if np.any(wk):
-                    b += wk[:, None] * self.control_drift(u)
-            return b
-        return np.take_along_axis(
-            np.stack([self.control_drift(u) for u in pts], axis=0),
-            policy.assignment[None, :, None],
-            axis=0,
-        )[0]
-
-    def policy_cost(self, policy, cost_fn=None) -> np.ndarray:
-        """Per-node running cost under a policy; ``cost_fn`` overrides model.cost."""
-        cost = cost_fn if cost_fn is not None else self.model.cost
-        pts = self.model.controls.points
-        table = np.stack(
-            [np.asarray(cost(self.coords, u), dtype=float) for u in pts], axis=0
-        )
-        if getattr(policy, "is_relaxed", False):
-            W = policy.weight_matrix(len(pts))
-            return np.einsum("kn,nk->n", table, W)
-        return np.take_along_axis(table, policy.assignment[None, :], axis=0)[0]
 
 
 def assemble_generator(model, grid: Grid, u, scheme: str = "hybrid") -> GeneratorMatrix:
@@ -396,7 +357,7 @@ def assemble_policy_generator(
     if grid.dim != model.dim:
         raise ValueError("grid dimension does not match model dimension")
     kernel = OperatorKernel(model, grid, scheme)
-    b = kernel.policy_drift(policy)
+    b = policy.pick(model.drift_table(kernel.coords))
     if aux_drift is not None:
         b = b + np.asarray(aux_drift, dtype=float).reshape(kernel.n, kernel.dim)
     return kernel.assemble(b, control_tag=getattr(policy, "tag", "policy"))

@@ -203,9 +203,11 @@ def policy_value(
     """
     if kernel is None:
         kernel = OperatorKernel(model, grid, scheme)
-    b = kernel.policy_drift(policy)
-    Q = kernel.assemble(b, control_tag=getattr(policy, "tag", "policy"))
-    r = cost_scale * kernel.policy_cost(policy, cost_fn=cost_fn)
+    Q = kernel.assemble(
+        policy.pick(model.drift_table(kernel.coords)),
+        control_tag=getattr(policy, "tag", "policy"),
+    )
+    r = cost_scale * policy.pick(model.cost_table(kernel.coords, cost_fn))
     return principal_eigenpair(
         Q, r, tol=tol, max_iter=max_iter, origin_node=grid.origin_node, grid=grid
     )
@@ -232,9 +234,8 @@ def foster_lyapunov_certificate(
     if scale < 0:
         raise ValueError("scale must be nonnegative")
     kernel = OperatorKernel(model, grid, scheme)
-    b = kernel.policy_drift(policy)
-    Q = kernel.assemble(b)
-    hv = kernel.policy_cost(policy, cost_fn=h_fn)
+    Q = kernel.assemble(policy.pick(model.drift_table(kernel.coords)))
+    hv = policy.pick(model.cost_table(kernel.coords, h_fn))
     pair = principal_eigenpair(
         Q, scale * hv, tol=tol, max_iter=max_iter, origin_node=grid.origin_node, grid=grid
     )

@@ -185,12 +185,8 @@ class _GameIteration:
             from .perturb import perturbed_cost
 
             cost = perturbed_cost(family, epsilon)
-        pts = model.controls.points
-        self.rc_all = np.minimum(
-            np.stack([np.asarray(cost(coords, u), dtype=float) for u in pts], axis=0),
-            self.L_star,
-        )
-        self.b_all = np.stack([self.kernel.control_drift(u) for u in pts], axis=0)
+        self.rc_all = np.minimum(model.cost_table(coords, cost), self.L_star)
+        self.b_all = model.drift_table(coords)
 
     def aux_drift(self, w: np.ndarray) -> np.ndarray:
         # Delta_l(x, w) = chi_l(x) Sigma(x) w(x)
@@ -200,11 +196,9 @@ class _GameIteration:
         return 0.5 * np.einsum("ni,ni->n", self.chi[:, None] * w, self.chi[:, None] * w)
 
     def evaluate(self, v: MarkovPolicy, w: np.ndarray):
-        b = self.b_all[v.assignment, np.arange(self.kernel.n)] + self.aux_drift(w)
-        G = self.kernel.assemble(b)
-        f = self.rc_all[v.assignment, np.arange(self.kernel.n)] - self.penalty(w)
-        rho, psi = solve_poisson(G, f, self.grid.origin_node)
-        return rho, psi
+        G = self.kernel.assemble(v.pick(self.b_all) + self.aux_drift(w))
+        f = v.pick(self.rc_all) - self.penalty(w)
+        return solve_poisson(G, f, self.grid.origin_node)
 
     def improve_w(self, psi: np.ndarray) -> np.ndarray:
         # exact inner maximization with the cutoff folded in: y = chi w
@@ -216,12 +210,7 @@ class _GameIteration:
         return w
 
     def improve_v(self, psi: np.ndarray, w: np.ndarray) -> np.ndarray:
-        aux = self.aux_drift(w)
-        base = self.kernel.apply_diffusion(psi)
-        rows = np.empty((self.b_all.shape[0], self.kernel.n))
-        for k in range(self.b_all.shape[0]):
-            rows[k] = base + self.kernel.apply_drift(self.b_all[k] + aux, psi) + self.rc_all[k]
-        return rows
+        return self.kernel.apply(self.b_all + self.aux_drift(w), psi) + self.rc_all
 
     def bellman_residual(self, psi, rho, w) -> float:
         rows = self.improve_v(psi, w)
@@ -340,7 +329,6 @@ def game_value_sweep(
     tol: float = 1e-9,
     family=None,
     scheme: str = "hybrid",
-    workers: int = 1,
 ):
     """Game values along an increasing list of drift bounds l.
 
@@ -352,18 +340,12 @@ def game_value_sweep(
         raise ValueError("l_list must be strictly increasing")
     rule = L_rule or default_truncation_rule
 
-    def solve_one(l):
-        sol = solve_ergodic_game(
+    def value(l):
+        return solve_ergodic_game(
             model, grid, epsilon, l, rule(l), tol=tol, family=family, scheme=scheme
-        )
-        return (l, sol.value)
+        ).value
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(solve_one, l_list))
-    return [solve_one(l) for l in l_list]
+    return [(l, value(l)) for l in l_list]
 
 
 def average_cost_solve(
@@ -381,22 +363,14 @@ def average_cost_solve(
     Poisson equation.  Returns (rho, Psi, policy).
     """
     kernel = OperatorKernel(model, grid, scheme)
-    cost = cost_fn if cost_fn is not None else model.cost
-    pts = model.controls.points
-    r_all = cost_scale * np.stack(
-        [np.asarray(cost(kernel.coords, u), dtype=float) for u in pts], axis=0
-    )
-    b_all = np.stack([kernel.control_drift(u) for u in pts], axis=0)
+    r_all = cost_scale * model.cost_table(kernel.coords, cost_fn)
+    b_all = model.drift_table(kernel.coords)
     v = MarkovPolicy(np.argmin(r_all, axis=0), tag="myopic")
     rho_prev = np.inf
     for k in range(1, max_iter + 1):
-        G = kernel.assemble(b_all[v.assignment, np.arange(kernel.n)])
-        f = r_all[v.assignment, np.arange(kernel.n)]
-        rho, psi = solve_poisson(G, f, grid.origin_node)
-        base = kernel.apply_diffusion(psi)
-        rows = np.empty((b_all.shape[0], kernel.n))
-        for kk in range(b_all.shape[0]):
-            rows[kk] = base + kernel.apply_drift(b_all[kk], psi) + r_all[kk]
+        G = kernel.assemble(v.pick(b_all))
+        rho, psi = solve_poisson(G, v.pick(r_all), grid.origin_node)
+        rows = kernel.apply(b_all, psi) + r_all
         v_new = MarkovPolicy(np.argmin(rows, axis=0), tag=f"avg[{k}]")
         residual = float(np.max(np.abs(np.min(rows, axis=0) - rho)))
         if np.array_equal(v_new.assignment, v.assignment) or (

@@ -80,6 +80,17 @@ class MarkovPolicy:
     def constant(index: int, n_nodes: int, tag: str = "") -> "MarkovPolicy":
         return MarkovPolicy(np.full(n_nodes, index, dtype=np.int64), tag or f"const[{index}]")
 
+    def pick(self, table: np.ndarray) -> np.ndarray:
+        """Per-node entries of a (k, n, ...) per-control table under this policy.
+
+        Precise policies gather row ``assignment[i]`` at node i; relaxed
+        policies take the weighted mix of the rows.
+        """
+        table = np.asarray(table)
+        if self.is_relaxed:
+            return np.einsum("nk,kn...->n...", self.weight_matrix(table.shape[0]), table)
+        return table[self.assignment, np.arange(self.n_nodes)]
+
     def control_values(self, control_points: np.ndarray) -> np.ndarray:
         """Per-node control points (relaxed policies give the mean point)."""
         if self.is_relaxed:
@@ -93,7 +104,9 @@ class HjbSolution:
 
     ``residual`` is the sup-norm HJB defect relative to V, i.e.
     max_i |min_u [(Q^u V)_i + r_i^u V_i] - Lambda V_i| / V_i, which keeps the
-    measure meaningful where the eigenfunction is large.
+    measure meaningful where the eigenfunction is large.  ``cost_table`` is
+    the (k, n) running-cost table the solve used, after ``cost_fn`` and
+    ``cost_scale``.
     """
 
     value: float
@@ -105,20 +118,11 @@ class HjbSolution:
     model: object = field(repr=False, default=None)
     grid: Optional[Grid] = field(repr=False, default=None)
     scheme: str = "hybrid"
+    cost_table: Optional[np.ndarray] = field(repr=False, default=None)
 
     @property
     def log_V(self) -> np.ndarray:
         return np.log(self.V)
-
-
-def _row_values(kernel: OperatorKernel, tables, V: np.ndarray) -> np.ndarray:
-    """(k, n) array of (Q^u V + r^u V) over all controls."""
-    b_all, r_all = tables
-    diff = kernel.apply_diffusion(V)
-    rows = np.empty((b_all.shape[0], kernel.n))
-    for k in range(b_all.shape[0]):
-        rows[k] = diff + kernel.apply_drift(b_all[k], V) + r_all[k] * V
-    return rows
 
 
 def solve_hjb(
@@ -149,13 +153,8 @@ def solve_hjb(
         with unchanged value is accepted with a warning (argmin tie cycling).
     """
     kernel = OperatorKernel(model, grid, scheme)
-    pts = model.controls.points
-    cost = cost_fn if cost_fn is not None else model.cost
-    r_all = cost_scale * np.stack(
-        [np.asarray(cost(kernel.coords, u), dtype=float) for u in pts], axis=0
-    )
-    b_all = np.stack([kernel.control_drift(u) for u in pts], axis=0)
-    tables = (b_all, r_all)
+    r_all = cost_scale * model.cost_table(kernel.coords, cost_fn)
+    b_all = model.drift_table(kernel.coords)
     inner_tol = eig_tol if eig_tol is not None else max(tol * 0.1, 1e-13)
 
     if initial_policy is None:
@@ -171,11 +170,9 @@ def solve_hjb(
     pair = None
 
     for it in range(1, max_iter + 1):
-        Q = kernel.assemble(b_all[policy.assignment, np.arange(kernel.n)])
-        r_v = r_all[policy.assignment, np.arange(kernel.n)]
         pair = principal_eigenpair(
-            Q,
-            r_v,
+            kernel.assemble(policy.pick(b_all)),
+            policy.pick(r_all),
             tol=inner_tol,
             max_iter=1000,
             check_irreducible=(it == 1),
@@ -185,30 +182,20 @@ def solve_hjb(
         lam, V = pair.value, pair.vector
         history.append(lam)
 
-        rows = _row_values(kernel, tables, V)
+        rows = kernel.apply(b_all, V) + r_all * V
         best = np.min(rows, axis=0)
         residual = float(np.max(np.abs(best - lam * V) / V))
         improved = MarkovPolicy(np.argmin(rows, axis=0), tag=f"howard[{it}]")
 
-        if (prev_value - lam) < tol and residual < tol:
-            return HjbSolution(
-                value=lam,
-                V=V,
-                policy=policy,
-                residual=residual,
-                history=history,
-                eigenpair=pair,
-                model=model,
-                grid=grid,
-                scheme=scheme,
-            )
-
+        converged = (prev_value - lam) < tol and residual < tol
         key = improved.assignment.tobytes()
-        if key in seen and abs(seen[key] - lam) <= tol:
+        if not converged and key in seen and abs(seen[key] - lam) <= tol:
             warnings.warn(
                 "policy iteration revisited a policy with unchanged value; "
                 "accepting the current fixed point (argmin ties)"
             )
+            converged = True
+        if converged:
             return HjbSolution(
                 value=lam,
                 V=V,
@@ -219,6 +206,7 @@ def solve_hjb(
                 model=model,
                 grid=grid,
                 scheme=scheme,
+                cost_table=r_all,
             )
         seen[policy.assignment.tobytes()] = lam
         policy = improved
@@ -233,22 +221,15 @@ def check_optimality_condition(solution: HjbSolution, candidate: MarkovPolicy, t
     Returns (gaps, is_minimizer): gaps are relative to V like the HJB
     residual; the candidate is declared a minimizer when max gap <= tol.
     Relaxed candidates are scored through their mixed rows, so any mixture of
-    tied minimizers passes.
+    tied minimizers passes.  Rows use the cost table the solution was solved
+    with, so ``cost_fn``/``cost_scale`` solves are checked against their own
+    running cost.
     """
-    kernel = OperatorKernel(solution.model, solution.grid, solution.scheme)
-    pts = solution.model.controls.points
-    r_all = np.stack(
-        [np.asarray(solution.model.cost(kernel.coords, u), dtype=float) for u in pts],
-        axis=0,
-    )
-    b_all = np.stack([kernel.control_drift(u) for u in pts], axis=0)
+    model = solution.model
+    kernel = OperatorKernel(model, solution.grid, solution.scheme)
     V = solution.V
-    rows = _row_values(kernel, (b_all, r_all), V)
-    best = np.min(rows, axis=0)
-    b_c = kernel.policy_drift(candidate)
-    r_c = kernel.policy_cost(candidate)
-    cand = kernel.apply_diffusion(V) + kernel.apply_drift(b_c, V) + r_c * V
-    gaps = (cand - best) / V
+    rows = kernel.apply(model.drift_table(kernel.coords), V) + solution.cost_table * V
+    gaps = (candidate.pick(rows) - np.min(rows, axis=0)) / V
     return gaps, bool(np.max(gaps) <= tol)
 
 

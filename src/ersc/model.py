@@ -150,16 +150,24 @@ class DiffusionModel:
             return s @ s.T
         return np.einsum("...ij,...kj->...ik", s, s)
 
-    def cost_table(self, x: np.ndarray) -> np.ndarray:
-        """(k, n) table of r(x_i, u_k) over all controls for states x (n, d)."""
+    def cost_table(self, x: np.ndarray, cost: Optional[Callable] = None) -> np.ndarray:
+        """(k, n) table of r(x_i, u_k) over all controls for states x (n, d).
+
+        ``cost`` replaces the model's running cost (perturbed, capped or
+        comparison costs share the same per-control layout).
+        """
+        cost = self.cost if cost is None else cost
         x = np.asarray(x, dtype=float)
-        rows = [np.asarray(self.cost(x, u), dtype=float) for u in self.controls.points]
+        rows = [np.asarray(cost(x, u), dtype=float) for u in self.controls.points]
         return np.stack(rows, axis=0)
 
     def drift_table(self, x: np.ndarray) -> np.ndarray:
         """(k, n, d) table of b(x_i, u_k) over all controls."""
         x = np.asarray(x, dtype=float)
-        rows = [np.asarray(self.drift(x, u), dtype=float) for u in self.controls.points]
+        rows = [
+            np.asarray(self.drift(x, u), dtype=float).reshape(x.shape)
+            for u in self.controls.points
+        ]
         return np.stack(rows, axis=0)
 
 

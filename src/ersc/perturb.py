@@ -62,12 +62,6 @@ class PerturbationFamily:
         return (1.0 - self.C3) / 8.0
 
 
-def _region_H_mask(model, x, u, hbar):
-    in_K = np.asarray(model.region_K.inside(x))
-    gt = np.asarray(model.cost(x, u)) > np.asarray(hbar(x, u))
-    return in_K | gt
-
-
 def build_h(
     model,
     grid: Grid,
@@ -130,28 +124,26 @@ def _certify(family: PerturbationFamily, grid: Grid, check_upper: bool = True) -
     coords = grid.coords()
     radii = np.linalg.norm(coords, axis=1)
     pts = model.controls.points
-    h_min = np.full(coords.shape[0], np.inf)
-    for u in pts:
-        r = np.asarray(model.cost(coords, u), dtype=float)
-        hv = np.asarray(family.h(coords, u), dtype=float)
-        bad = np.where(hv < r - 1e-12)[0]
+    r = model.cost_table(coords)
+    hv = model.cost_table(coords, family.h)
+    bad = np.argwhere(hv < r - 1e-12)
+    if bad.size:
+        k, i = bad[0]
+        raise PerturbationError(
+            f"h < r at x={coords[i]}, u={pts[k]}: h={hv[k, i]:.6g}, r={r[k, i]:.6g}"
+        )
+    if check_upper and family.hbar is not None:
+        hb = model.cost_table(coords, family.hbar)
+        on_H = np.asarray(model.region_K.inside(coords))[None, :] | (r > hb)
+        cap = 2.0 + 2.0 * np.where(on_H, r, hb)
+        bad = np.argwhere(hv > cap + 1e-9)
         if bad.size:
-            i = int(bad[0])
+            k, i = bad[0]
             raise PerturbationError(
-                f"h < r at x={coords[i]}, u={u}: h={hv[i]:.6g}, r={r[i]:.6g}"
+                f"h exceeds its blend bound at x={coords[i]}, u={pts[k]}: "
+                f"h={hv[k, i]:.6g}, cap={cap[k, i]:.6g}"
             )
-        if check_upper and family.hbar is not None:
-            hb = np.asarray(family.hbar(coords, u), dtype=float)
-            on_H = _region_H_mask(model, coords, u, family.hbar)
-            cap = 2.0 + 2.0 * np.where(on_H, r, hb)
-            bad = np.where(hv > cap + 1e-9)[0]
-            if bad.size:
-                i = int(bad[0])
-                raise PerturbationError(
-                    f"h exceeds its blend bound at x={coords[i]}, u={u}: "
-                    f"h={hv[i]:.6g}, cap={cap[i]:.6g}"
-                )
-        h_min = np.minimum(h_min, hv)
+    h_min = hv.min(axis=0)
 
     # inf-compactness surrogate: in the far field (outer half of the box)
     # the shell minima of min_u h must be non-decreasing; interior dips are
@@ -212,7 +204,6 @@ def epsilon_sweep(
     family: PerturbationFamily,
     eps_list: Sequence[float],
     tol: float = 1e-8,
-    workers: int = 1,
     scheme: str = "hybrid",
 ) -> EpsilonSweepResult:
     """Optimal values along a perturbation schedule, with convergence gaps.
@@ -229,18 +220,12 @@ def epsilon_sweep(
         if e < 0 or e >= family.eps0:
             raise PerturbationError(f"epsilon {e} outside [0, eps0={family.eps0:g})")
 
-    def solve_one(e):
-        cost = perturbed_cost(family, e)
-        sol = solve_hjb(model, grid, tol=tol, cost_fn=cost, scheme=scheme)
-        return (e, sol.value)
+    def value(e):
+        return solve_hjb(
+            model, grid, tol=tol, cost_fn=perturbed_cost(family, e), scheme=scheme
+        ).value
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(solve_one, eps_list))
-    else:
-        entries = [solve_one(e) for e in eps_list]
+    entries = [(e, value(e)) for e in eps_list]
 
     base = next(v for e, v in entries if e == 0.0)
     pos = [(e, v) for e, v in entries if e > 0.0]

@@ -241,16 +241,44 @@ def test_cross_term_monotonicity_failure_is_loud():
 
 
 def test_apply_matches_assembled_matrix():
-    m = builtin_ou_lq(a=-1.0, sigma=1.2, q=1.0, c=0.3, u_max=2.0, n_controls=4)
-    g = build_grid([3.0], [41])
-    kernel = OperatorKernel(m, g, "hybrid")
+    lq = builtin_ou_lq(a=-1.0, sigma=1.2, q=1.0, c=0.3, u_max=2.0, n_controls=4)
+    g1 = build_grid([3.0], [41])
+    # correlated noise puts the shared corner edges into both paths
+    corr = make_2d_correlated(np.linalg.cholesky(np.array([[1.0, 0.3], [0.3, 0.8]])))
+    g2 = build_grid([1.0, 1.0], [9, 11])
     rng = np.random.default_rng(3)
-    V = rng.uniform(0.5, 2.0, size=g.n_nodes)
-    for u in m.controls.points:
-        b = kernel.control_drift(u)
-        lhs = kernel.apply(b, V)
-        rhs = kernel.assemble(b).matrix @ V
-        assert np.allclose(lhs, rhs, atol=1e-10)
+    for m, g in ((lq, g1), (corr, g2)):
+        for scheme in ("hybrid", "upwind"):
+            kernel = OperatorKernel(m, g, scheme)
+            V = rng.uniform(0.5, 2.0, size=g.n_nodes)
+            # the model's per-control fields plus random ones, so both drift
+            # signs and both hybrid branches occur
+            b_all = np.concatenate(
+                [m.drift_table(kernel.coords), rng.normal(scale=8.0, size=(3, g.n_nodes, g.dim))]
+            )
+            stacked = kernel.apply(b_all, V)
+            assert stacked.shape == (b_all.shape[0], g.n_nodes)
+            for b, row in zip(b_all, stacked):
+                lhs = kernel.apply(b, V)
+                assert np.array_equal(row, lhs)
+                rhs = kernel.assemble(b).matrix @ V
+                assert np.allclose(lhs, rhs, atol=1e-10)
+
+    # a central-scheme monotonicity failure raised from the stacked rows names
+    # the same node as the first failing control on its own
+    kernel = OperatorKernel(lq, g1, "central")
+    b_all = 4.0 * lq.drift_table(kernel.coords)
+    V = np.ones(g1.n_nodes)
+    single = []
+    for b in b_all:
+        try:
+            kernel.apply(b, V)
+        except GridSchemeError as exc:
+            single.append(str(exc))
+    assert single
+    with pytest.raises(GridSchemeError, match=r"at node \d+ \(x=") as info:
+        kernel.apply(b_all, V)
+    assert str(info.value) == single[0]
 
 
 def test_dump_coo_roundtrip(tmp_path):

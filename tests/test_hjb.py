@@ -70,19 +70,28 @@ def test_brute_force_small_instances():
         assert abs(sol.value - oracle) <= 1e-8
 
 
-def test_optimality_condition_at_solution(lq_model, grid_241):
-    sol = solve_hjb(lq_model, grid_241, tol=1e-9)
-    gaps, ok = check_optimality_condition(sol, sol.policy, tol=1e-8)
-    assert ok
-    assert np.max(gaps) <= 1e-8
+def _cheap_control_cost(x, u):
+    x = np.asarray(x, dtype=float)
+    u = np.broadcast_to(np.asarray(u, dtype=float), np.shape(x))
+    return 0.5 * np.sum(x * x, axis=-1) + 0.25 * np.sum(u * u, axis=-1)
 
-    # corrupting the policy at one interior node produces a strictly positive gap
-    bad = sol.policy.assignment.copy()
-    node = grid_241.n_nodes // 4
-    bad[node] = (bad[node] + 37) % lq_model.controls.n_controls
-    gaps, ok = check_optimality_condition(sol, MarkovPolicy(bad), tol=1e-8)
-    assert not ok
-    assert gaps[node] > 1e-6
+
+def test_optimality_condition_at_solution(lq_model, grid_241):
+    # the check scores rows with the running cost the solve used, so cost
+    # overrides and scalings are certified against their own HJB equation
+    for cost_fn, cost_scale in ((None, 1.0), (None, 0.5), (None, 0.1), (_cheap_control_cost, 1.0)):
+        sol = solve_hjb(lq_model, grid_241, tol=1e-9, cost_fn=cost_fn, cost_scale=cost_scale)
+        gaps, ok = check_optimality_condition(sol, sol.policy, tol=1e-8)
+        assert ok, (cost_fn, cost_scale, np.max(gaps))
+        assert np.max(gaps) <= 1e-8
+
+        # corrupting the policy at one interior node produces a strictly positive gap
+        bad = sol.policy.assignment.copy()
+        node = grid_241.n_nodes // 4
+        bad[node] = (bad[node] + 37) % lq_model.controls.n_controls
+        gaps, ok = check_optimality_condition(sol, MarkovPolicy(bad), tol=1e-8)
+        assert not ok
+        assert gaps[node] > 1e-6
 
 
 def test_optimality_condition_relaxed_tie(lq_model, grid_241):
