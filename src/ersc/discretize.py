@@ -88,6 +88,17 @@ class Grid:
             s[i] = s[i + 1] * self.counts[i + 1]
         return s
 
+    def gradient(self, values: np.ndarray) -> np.ndarray:
+        """(n, d) central-difference gradient of per-node values.
+
+        Second-order one-sided differences at the box faces.
+        """
+        arr = np.asarray(values, dtype=float).reshape(self.shape)
+        grads = np.gradient(arr, *self.axes, edge_order=2)
+        if self.dim == 1:
+            grads = [grads]
+        return np.stack([g.ravel() for g in grads], axis=-1)
+
     def nearest_node(self, x: np.ndarray) -> np.ndarray:
         """Indices of grid nodes nearest to points x (..., d), clipped to the box."""
         x = np.asarray(x, dtype=float)
@@ -328,11 +339,27 @@ class OperatorKernel:
         ).tocsr()
         return GeneratorMatrix(matrix=mat, control=control_tag)
 
-    def control_drift(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return np.asarray(self.model.drift(self.coords, u), dtype=float).reshape(
-            self.n, self.dim
-        )
+    def assemble_policy(
+        self, policy, b_all: np.ndarray, aux_drift: Optional[np.ndarray] = None
+    ) -> GeneratorMatrix:
+        """Sparse generator under a Markov policy, from the (k, n, d) drift table.
+
+        ``aux_drift`` (n, d) is added to every control's drift before
+        differencing, so the combined operator stays monotone.  A relaxed
+        policy mixes the rows of the per-control generators by its weights;
+        mixing the drift instead differs, as upwind rates are not linear in b.
+        """
+        if aux_drift is not None:
+            b_all = b_all + np.reshape(aux_drift, (self.n, self.dim))
+        if not policy.is_relaxed:
+            return self.assemble(policy.pick(b_all), control_tag=policy.tag)
+        weights = policy.weight_matrix(len(b_all))
+        mix = [
+            sp.diags(wj) @ self.assemble(b).matrix
+            for wj, b in zip(weights.T, b_all)
+            if np.any(wj)
+        ]
+        return GeneratorMatrix(matrix=sum(mix[1:], mix[0]).tocsr(), control=policy.tag)
 
 
 def assemble_generator(model, grid: Grid, u, scheme: str = "hybrid") -> GeneratorMatrix:
@@ -340,7 +367,7 @@ def assemble_generator(model, grid: Grid, u, scheme: str = "hybrid") -> Generato
     if grid.dim != model.dim:
         raise ValueError("grid dimension does not match model dimension")
     kernel = OperatorKernel(model, grid, scheme)
-    b = kernel.control_drift(u)
+    b = model.drift(kernel.coords, np.asarray(u, dtype=float))
     return kernel.assemble(b, control_tag=np.array2string(np.atleast_1d(np.asarray(u))))
 
 
@@ -349,15 +376,10 @@ def assemble_policy_generator(
 ) -> GeneratorMatrix:
     """Generator matrix under a Markov policy, optionally with an added drift field.
 
-    Relaxed policies produce the per-row convex combination of the precise
-    rows via the mixed drift and the linearity of the generator in b.
-    ``aux_drift`` (n, d) is added to the policy drift before differencing so
-    the combined operator keeps the monotone structure.
+    Relaxed policies give the per-row convex combination of the precise
+    generators' rows; see ``OperatorKernel.assemble_policy``.
     """
     if grid.dim != model.dim:
         raise ValueError("grid dimension does not match model dimension")
     kernel = OperatorKernel(model, grid, scheme)
-    b = policy.pick(model.drift_table(kernel.coords))
-    if aux_drift is not None:
-        b = b + np.asarray(aux_drift, dtype=float).reshape(kernel.n, kernel.dim)
-    return kernel.assemble(b, control_tag=getattr(policy, "tag", "policy"))
+    return kernel.assemble_policy(policy, model.drift_table(kernel.coords), aux_drift)

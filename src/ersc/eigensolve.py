@@ -203,10 +203,7 @@ def policy_value(
     """
     if kernel is None:
         kernel = OperatorKernel(model, grid, scheme)
-    Q = kernel.assemble(
-        policy.pick(model.drift_table(kernel.coords)),
-        control_tag=getattr(policy, "tag", "policy"),
-    )
+    Q = kernel.assemble_policy(policy, model.drift_table(kernel.coords))
     r = cost_scale * policy.pick(model.cost_table(kernel.coords, cost_fn))
     return principal_eigenpair(
         Q, r, tol=tol, max_iter=max_iter, origin_node=grid.origin_node, grid=grid
@@ -234,7 +231,7 @@ def foster_lyapunov_certificate(
     if scale < 0:
         raise ValueError("scale must be nonnegative")
     kernel = OperatorKernel(model, grid, scheme)
-    Q = kernel.assemble(policy.pick(model.drift_table(kernel.coords)))
+    Q = kernel.assemble_policy(policy, model.drift_table(kernel.coords))
     hv = policy.pick(model.cost_table(kernel.coords, h_fn))
     pair = principal_eigenpair(
         Q, scale * hv, tol=tol, max_iter=max_iter, origin_node=grid.origin_node, grid=grid

@@ -146,14 +146,6 @@ def solve_poisson(G, f: np.ndarray, origin_node: int):
     return float(sol[n]), sol[:n]
 
 
-def _central_gradient(values: np.ndarray, grid: Grid) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).reshape(grid.shape)
-    grads = np.gradient(arr, *[ax for ax in grid.axes], edge_order=2)
-    if grid.dim == 1:
-        grads = [grads]
-    return np.stack([g.ravel() for g in grads], axis=-1)
-
-
 def _sigma_fields(model, coords):
     s = np.asarray(model.sigma(coords), dtype=float)
     if s.ndim == 2:
@@ -196,13 +188,13 @@ class _GameIteration:
         return 0.5 * np.einsum("ni,ni->n", self.chi[:, None] * w, self.chi[:, None] * w)
 
     def evaluate(self, v: MarkovPolicy, w: np.ndarray):
-        G = self.kernel.assemble(v.pick(self.b_all) + self.aux_drift(w))
+        G = self.kernel.assemble_policy(v, self.b_all, self.aux_drift(w))
         f = v.pick(self.rc_all) - self.penalty(w)
         return solve_poisson(G, f, self.grid.origin_node)
 
     def improve_w(self, psi: np.ndarray) -> np.ndarray:
         # exact inner maximization with the cutoff folded in: y = chi w
-        gtilde = np.einsum("nij,ni->nj", self.sig, _central_gradient(psi, self.grid))
+        gtilde = np.einsum("nij,ni->nj", self.sig, self.grid.gradient(psi))
         y, _ = inner_max_w(gtilde, self.chi * self.l)
         w = np.zeros_like(y)
         alive = self.chi > 1e-12
@@ -368,7 +360,7 @@ def average_cost_solve(
     v = MarkovPolicy(np.argmin(r_all, axis=0), tag="myopic")
     rho_prev = np.inf
     for k in range(1, max_iter + 1):
-        G = kernel.assemble(v.pick(b_all))
+        G = kernel.assemble_policy(v, b_all)
         rho, psi = solve_poisson(G, v.pick(r_all), grid.origin_node)
         rows = kernel.apply(b_all, psi) + r_all
         v_new = MarkovPolicy(np.argmin(rows, axis=0), tag=f"avg[{k}]")

@@ -171,7 +171,7 @@ def solve_hjb(
 
     for it in range(1, max_iter + 1):
         pair = principal_eigenpair(
-            kernel.assemble(policy.pick(b_all)),
+            kernel.assemble_policy(policy, b_all),
             policy.pick(r_all),
             tol=inner_tol,
             max_iter=1000,
@@ -246,11 +246,7 @@ def value_gradient_field(solution_or_V, grid: Grid, model=None) -> np.ndarray:
         V = np.asarray(solution_or_V, dtype=float)
         if model is None:
             raise ValueError("model required when passing a raw vector")
-    logV = np.log(V).reshape(grid.shape)
-    grads = np.gradient(logV, *[ax for ax in grid.axes], edge_order=2)
-    if grid.dim == 1:
-        grads = [grads]
-    g = np.stack([gr.ravel() for gr in grads], axis=-1)
+    g = grid.gradient(np.log(V))
     coords = grid.coords()
     s = np.asarray(model.sigma(coords), dtype=float)
     if s.ndim == 2:

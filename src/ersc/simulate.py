@@ -1,24 +1,28 @@
 """Euler-Maruyama simulation, Monte Carlo cost estimators, and path checks.
 
-Covers four verification routes for the solver stack:
+One Euler-Maruyama stepper simulates dZ = [b + Sigma w] dt + Sigma dW with an
+optional auxiliary field w(Z) and accumulates int r dt, (1/2) int |w|^2 dt and
+int w . dW; exp(-int w . dW - (1/2) int |w|^2 dt) is the exact likelihood
+ratio of the plain against the w-drifted Euler chain.  On it sit:
 
   * plain Monte Carlo of the exponential cost functional (log-sum-exp),
-  * importance sampling through the eigenfunction-twisted dynamics, whose
-    Girsanov weight makes the integrand nearly path-independent when the
-    eigenpair is accurate,
+  * importance sampling with the eigenfunction twist w = Sigma' grad log psi,
+    which makes the integrand nearly path-independent at an accurate eigenpair,
   * the hitting-time identity V(x) = E[exp(int (r - Lambda)) V(X_tau)] for the
-    HJB solution outside a ball,
+    HJB solution outside a ball, with paths frozen when they hit it,
   * occupation-measure (mean empirical measure) tightness diagnostics.
 
 Randomness comes from a counter-based generator keyed by (seed, step), with
-paths laid out in a fixed order inside each step block, so single-worker runs
-are bit-reproducible and independent of chunking.
+paths laid out in a fixed order inside each step block, so runs are
+bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import warnings
+from collections import namedtuple
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -44,7 +48,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Euler-Maruyama run parameters; fixed seed + single worker is bit-stable."""
+    """Euler-Maruyama run parameters; a fixed seed gives bit-identical paths."""
 
     dt: float
     horizon: float
@@ -105,7 +109,29 @@ def _step_normals(seed: int, step: int, n: int, d: int, antithetic: bool) -> np.
     return gen.standard_normal((n, d))
 
 
-def _resolve_policy(model, policy, grid: Optional[Grid]):
+class _ClipCount:
+    """Counts the out-of-box states handed to per-node grid-field lookups."""
+
+    def __init__(self):
+        self.n = 0
+
+    def field(self, grid: Grid, lookup: Callable) -> Callable:
+        def call(x):
+            x = np.asarray(x, dtype=float)
+            self.n += int(np.any(np.abs(x) > grid.radii, axis=-1).sum())
+            return lookup(x)
+
+        return call
+
+    def warn(self) -> None:
+        if self.n:
+            warnings.warn(
+                f"{self.n} state evaluations clipped to the grid box during "
+                "grid-field lookup"
+            )
+
+
+def _resolve_policy(model, policy, grid: Optional[Grid], clip: _ClipCount):
     pts = model.controls.points
     if policy is None:
         if pts.shape[0] != 1:
@@ -116,24 +142,36 @@ def _resolve_policy(model, policy, grid: Optional[Grid]):
         if grid is None:
             raise ValueError("grid required to evaluate a MarkovPolicy by node lookup")
         per_node = policy.control_values(pts)
-        return lambda x: per_node[grid.nearest_node(x)]
+        return clip.field(grid, lambda x: per_node[grid.nearest_node(x)])
     if callable(policy):
         return policy
     u = np.asarray(policy, dtype=float)
     return lambda x: u
 
 
-def _resolve_aux(aux, grid: Optional[Grid]):
+def _resolve_aux(aux, grid: Optional[Grid], clip: _ClipCount):
+    """Auxiliary field as ``w(X, S)`` (S = Sigma(X)), or None."""
     if aux is None:
         return None
     if callable(aux):
-        return aux
+        return lambda X, S: aux(X)
     # AuxiliaryPolicy or raw per-node field: multilinear interpolation
     fld = aux.field if hasattr(aux, "field") else np.asarray(aux, dtype=float)
     if grid is None:
         raise ValueError("grid required to interpolate a node-based auxiliary field")
-    interp = grid_interpolator(grid, fld)
-    return interp
+    w_of = clip.field(grid, grid_interpolator(grid, fld))
+    return lambda X, S: w_of(X)
+
+
+def _twist(grid: Grid, log_psi: np.ndarray, clip: _ClipCount):
+    """The eigenfunction twist w = Sigma' grad log psi as ``w(X, S)``."""
+    grad_of = clip.field(grid, grid_interpolator(grid, grid.gradient(log_psi)))
+
+    def w(X, S):
+        g = np.asarray(grad_of(X), dtype=float)
+        return g @ S if S.ndim == 2 else np.einsum("nij,ni->nj", S, g)
+
+    return w
 
 
 def grid_interpolator(grid: Grid, values: np.ndarray) -> Callable:
@@ -153,11 +191,75 @@ def grid_interpolator(grid: Grid, values: np.ndarray) -> Callable:
     return call
 
 
-def _sigma_apply(model, x, vec):
-    s = np.asarray(model.sigma(x), dtype=float)
-    if s.ndim == 2:
-        return vec @ s.T
-    return np.einsum("nij,nj->ni", s, vec)
+def _sigma_apply(S, vec):
+    if S.ndim == 2:
+        return vec @ S.T
+    return np.einsum("nij,nj->ni", S, vec)
+
+
+# per path, dead ones included: final state, not excluded, int r dt,
+# (1/2) int |w|^2 dt, int w . dW, hitting time (NaN if none); and occupation
+_Paths = namedtuple("_Paths", "X alive cost penalty girsanov hit mem")
+
+
+def _euler_maruyama(
+    model, u_of, cfg: SimulationConfig, x0, w_of=None, stop_radius=None, mem_grid=None
+) -> _Paths:
+    """The one Euler-Maruyama loop behind every route.
+
+    ``w_of(X, S)``, given Sigma(X) as S, adds the drift S w.  Hitting times of
+    the ball of radius ``stop_radius`` (else ``cfg.target_radius``) are
+    recorded; a stop radius also freezes each path at its hit.  Accumulators
+    run only on moving paths (alive and not frozen); paths that turn
+    non-finite are parked at x0 and marked dead.  The loop ends once no path
+    moves.  ``mem_grid`` records the occupation masses every
+    ``cfg.mem_stride`` steps.
+    """
+    n, d, dt = cfg.n_paths, model.dim, cfg.dt
+    sq = np.sqrt(dt)
+    X = np.tile(x0, (n, 1))
+    cost = np.zeros(n)
+    pen = np.zeros(n)
+    gir = np.zeros(n)
+    alive = np.ones(n, dtype=bool)
+    moving = alive
+    radius = stop_radius if stop_radius is not None else cfg.target_radius
+    hit = None if radius is None else np.full(n, np.nan)
+    mem_counts = None if mem_grid is None else np.zeros(mem_grid.n_nodes)
+    mem_total = 0
+
+    for k in range(cfg.n_steps):
+        if not np.any(moving):
+            break
+        u = u_of(X)
+        S = np.asarray(model.sigma(X), dtype=float)
+        cost += np.where(moving, np.asarray(model.cost(X, u), dtype=float), 0.0) * dt
+        drift = np.asarray(model.drift(X, u), dtype=float)
+        xi = _step_normals(cfg.seed, k, n, d, cfg.antithetic)
+        if w_of is not None:
+            w = np.asarray(w_of(X, S), dtype=float)
+            drift = drift + _sigma_apply(S, w)
+            pen += np.where(moving, 0.5 * np.einsum("ni,ni->n", w, w), 0.0) * dt
+            gir += np.where(moving, np.einsum("ni,ni->n", w, xi), 0.0) * sq
+        X = X + np.where(moving[:, None], drift * dt + _sigma_apply(S, xi) * sq, 0.0)
+
+        bad = ~np.isfinite(X).all(axis=1)
+        if np.any(bad & alive):
+            alive = alive & ~bad
+            X = np.where(alive[:, None], X, x0)  # park dead paths on a finite value
+        moving = alive
+        if hit is not None:
+            newly = alive & np.isnan(hit) & (np.linalg.norm(X, axis=1) <= radius)
+            hit[newly] = (k + 1) * dt
+            if stop_radius is not None:
+                moving = alive & np.isnan(hit)
+        if mem_counts is not None and (k % cfg.mem_stride == 0):
+            np.add.at(mem_counts, mem_grid.nearest_node(X[alive]), 1.0)
+            mem_total += int(alive.sum())
+
+    if mem_total:
+        mem_counts = mem_counts / mem_total
+    return _Paths(X, alive, cost, pen, gir, hit, mem_counts)
 
 
 def simulate(
@@ -171,66 +273,28 @@ def simulate(
 
     ``policy`` may be None (single-control model), a constant control point,
     a vectorized callable x -> u, or a MarkovPolicy evaluated by nearest-node
-    lookup on ``grid``.  ``aux`` adds the drift Sigma(x) w(x); it may be a
-    callable or a per-node field (interpolated).  Paths that leave the
-    representable range (non-finite state) are excluded and counted.
+    lookup on ``grid``.  ``aux`` is the auxiliary field w, adding the drift
+    Sigma(x) w(x); it may be a callable or a per-node field (interpolated).
+    Paths that leave the representable range (non-finite state) are excluded
+    and counted.
     """
-    d = model.dim
-    n = cfg.n_paths
-    x0 = np.asarray(cfg.x0, dtype=float).reshape(d)
-    X = np.tile(x0, (n, 1))
-    u_of = _resolve_policy(model, policy, grid)
-    w_of = _resolve_aux(aux, grid)
-    sq = np.sqrt(cfg.dt)
-
-    cost_int = np.zeros(n)
-    pen_int = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    hit = None
-    if cfg.target_radius is not None:
-        hit = np.full(n, np.nan)
-    mem_counts = None
-    mem_total = 0
-    if cfg.record_mem:
-        if grid is None:
-            raise ValueError("record_mem requires a grid")
-        mem_counts = np.zeros(grid.n_nodes)
-
-    for k in range(cfg.n_steps):
-        u = u_of(X)
-        cost_int += np.where(alive, np.asarray(model.cost(X, u), dtype=float), 0.0) * cfg.dt
-        drift = np.asarray(model.drift(X, u), dtype=float)
-        if w_of is not None:
-            w = np.asarray(w_of(X), dtype=float)
-            drift = drift + _sigma_apply(model, X, w)
-            pen_int += np.where(alive, 0.5 * np.einsum("ni,ni->n", w, w), 0.0) * cfg.dt
-        xi = _step_normals(cfg.seed, k, n, d, cfg.antithetic)
-        X = X + np.where(alive[:, None], drift * cfg.dt + _sigma_apply(model, X, xi) * sq, 0.0)
-
-        bad = ~np.isfinite(X).all(axis=1)
-        if np.any(bad & alive):
-            alive &= ~bad
-            X = np.where(alive[:, None], X, x0)  # park dead paths on a finite value
-        if hit is not None:
-            newly = alive & np.isnan(hit) & (
-                np.linalg.norm(X, axis=1) <= cfg.target_radius
-            )
-            hit[newly] = (k + 1) * cfg.dt
-        if mem_counts is not None and (k % cfg.mem_stride == 0):
-            idx = grid.nearest_node(X[alive])
-            np.add.at(mem_counts, idx, 1.0)
-            mem_total += int(alive.sum())
-
-    excluded = int((~alive).sum())
-    masses = mem_counts / mem_total if (mem_counts is not None and mem_total) else mem_counts
+    clip = _ClipCount()
+    u_of = _resolve_policy(model, policy, grid, clip)
+    w_of = _resolve_aux(aux, grid, clip)
+    if cfg.record_mem and grid is None:
+        raise ValueError("record_mem requires a grid")
+    x0 = np.asarray(cfg.x0, dtype=float).reshape(model.dim)
+    paths = _euler_maruyama(model, u_of, cfg, x0, w_of, mem_grid=grid if cfg.record_mem else None)
+    clip.warn()
+    alive = paths.alive
     return PathEnsemble(
-        terminal=X[alive],
-        cost_integral=cost_int[alive],
-        aux_penalty_integral=pen_int[alive],
-        hitting_time=hit[alive] if hit is not None else None,
-        mem_masses=masses,
+        terminal=paths.X[alive],
+        cost_integral=paths.cost[alive],
+        aux_penalty_integral=paths.penalty[alive],
+        hitting_time=paths.hit[alive] if paths.hit is not None else None,
+        mem_masses=paths.mem,
         grid=grid,
-        excluded=excluded,
+        excluded=int((~alive).sum()),
         config=cfg,
     )
 
@@ -245,6 +309,17 @@ class RscEstimate:
     tail_mass: Optional[float] = None
 
 
+def _log_mean_exp_rate(S: np.ndarray, T: float):
+    """(1/T) log mean exp(S) and its delta-method standard error."""
+    n = S.size
+    smax = float(S.max())
+    w = np.exp(S - smax)
+    mean_w = float(w.mean())
+    est = (smax + np.log(mean_w)) / T
+    stderr = float(w.std(ddof=1) / (mean_w * np.sqrt(n))) / T if n > 1 else float("nan")
+    return est, stderr
+
+
 def estimate_rsc_cost(ensemble: PathEnsemble, truncation_L: Optional[float] = None) -> RscEstimate:
     """(1/T) log mean exp(int r dt) over paths, by stable log-sum-exp.
 
@@ -256,18 +331,13 @@ def estimate_rsc_cost(ensemble: PathEnsemble, truncation_L: Optional[float] = No
     if S.size == 0:
         raise ValueError("all paths excluded; nothing to estimate")
     T = ensemble.config.horizon
-    n = S.size
-    smax = float(S.max())
-    w = np.exp(S - smax)
-    mean_w = float(w.mean())
-    est = (smax + np.log(mean_w)) / T
-    stderr = float(w.std(ddof=1) / (mean_w * np.sqrt(n))) / T if n > 1 else float("nan")
+    est, stderr = _log_mean_exp_rate(S, T)
     if truncation_L is None:
         return RscEstimate(estimate=est, stderr=stderr)
     keep = S <= truncation_L * T
     if not np.any(keep):
         raise ValueError("truncation removed every path")
-    trunc = (logsumexp(S[keep]) - np.log(n)) / T
+    trunc = (logsumexp(S[keep]) - np.log(S.size)) / T
     tail = float(np.exp(logsumexp(S[~keep]) - logsumexp(S))) if np.any(~keep) else 0.0
     return RscEstimate(estimate=est, stderr=stderr, truncated_estimate=trunc, tail_mass=tail)
 
@@ -282,81 +352,46 @@ def importance_sampled_cost(
 ):
     """Risk-sensitive cost via the eigenfunction change of measure.
 
-    Simulates the twisted ("ground") dynamics with drift
-    b + Sigma Sigma' grad(log psi) and reweights by the exact discrete
-    Girsanov factor.  The default estimator is built on the multiplicative
-    martingale exp(int (r - lambda) dt) psi(X_T) / psi(x0):
+    Simulates the twisted ("ground") dynamics, whose auxiliary field
+    w = Sigma' grad(log psi) adds the drift Sigma Sigma' grad(log psi), and
+    reweights by the exact discrete Girsanov factor.  The default estimator is
+    built on the multiplicative martingale exp(int (r - lambda) dt) psi(X_T) / psi(x0):
 
         lambda + (1/T) log mean exp( int (r - lambda) dt
                                      + log psi(Z_T) - log psi(x0)
-                                     - Girsanov log-likelihood correction ),
+                                     - int w . dW - (1/2) int |w|^2 dt ),
 
     whose exponent is path-independent at the exact eigenpair, so it returns
     the eigenvalue itself with variance driven only by eigenpair and
     time-stepping error.  With ``terminal_eigen_correction=False`` the
     psi-ratio is dropped and the estimator targets the same finite-horizon
     log-moment functional as plain Monte Carlo (useful for cross-checking
-    the two estimators on identical footing).  Returns (estimate, stderr).
+    the two estimators on identical footing).  Returns (estimate, stderr);
+    raises ValueError if any path turns non-finite.
     """
     grid = grid if grid is not None else eigenpair.grid
     if grid is None:
         raise ValueError("grid required (pass it or use an eigenpair that carries one)")
     lam = eigenpair.value
     log_psi = np.log(eigenpair.vector)
-    arr = log_psi.reshape(grid.shape)
-    grads = np.gradient(arr, *[ax for ax in grid.axes], edge_order=2)
-    if grid.dim == 1:
-        grads = [grads]
-    glp = np.stack([g.ravel() for g in grads], axis=-1)
-    grad_of = grid_interpolator(grid, glp)
-    logpsi_of = grid_interpolator(grid, log_psi)
-
-    d = model.dim
-    n = cfg.n_paths
-    x0 = np.asarray(cfg.x0, dtype=float).reshape(d)
-    Z = np.tile(x0, (n, 1))
-    u_of = _resolve_policy(model, policy, grid)
-    sq = np.sqrt(cfg.dt)
-    S = np.zeros(n)
-    clipped = 0
-
-    for k in range(cfg.n_steps):
-        u = u_of(Z)
-        r = np.asarray(model.cost(Z, u), dtype=float)
-        out_of_range = np.any(np.abs(Z) > grid.radii, axis=1)
-        clipped += int(out_of_range.sum())
-        g = np.asarray(grad_of(Z), dtype=float)
-        # w = Sigma' grad log psi; twist drift = Sigma w = A grad log psi
-        s = np.asarray(model.sigma(Z), dtype=float)
-        if s.ndim == 2:
-            w = g @ s
-            twist = w @ s.T
-        else:
-            w = np.einsum("nij,ni->nj", s, g)
-            twist = np.einsum("nij,nj->ni", s, w)
-        drift = np.asarray(model.drift(Z, u), dtype=float) + twist
-        xi = _step_normals(cfg.seed, k, n, d, cfg.antithetic)
-        S += (r - lam) * cfg.dt - np.einsum("ni,ni->n", w, xi) * sq
-        S -= 0.5 * np.einsum("ni,ni->n", w, w) * cfg.dt
-        Z = Z + drift * cfg.dt + _sigma_apply(model, Z, xi) * sq
-
-    if terminal_eigen_correction:
-        S += np.asarray(logpsi_of(Z), dtype=float) - float(logpsi_of(x0[None, :])[0])
-
-    if clipped:
-        import warnings
-
-        warnings.warn(
-            f"{clipped} state evaluations clipped to the grid box during "
-            "eigenfunction interpolation"
+    clip = _ClipCount()
+    x0 = np.asarray(cfg.x0, dtype=float).reshape(model.dim)
+    paths = _euler_maruyama(
+        model, _resolve_policy(model, policy, grid, clip), cfg, x0, _twist(grid, log_psi, clip)
+    )
+    excluded = int((~paths.alive).sum())
+    if excluded:
+        raise ValueError(
+            f"{excluded} of {cfg.n_paths} importance-sampled paths became non-finite "
+            "and were excluded; the estimate would be undefined"
         )
-    T = cfg.horizon
-    smax = float(S.max())
-    wgt = np.exp(S - smax)
-    mean_w = float(wgt.mean())
-    est = lam + (smax + np.log(mean_w)) / T
-    stderr = float(wgt.std(ddof=1) / (mean_w * np.sqrt(n))) / T if n > 1 else float("nan")
-    return est, stderr
+    S = paths.cost - lam * (cfg.n_steps * cfg.dt) - paths.girsanov - paths.penalty
+    if terminal_eigen_correction:
+        logpsi_of = clip.field(grid, grid_interpolator(grid, log_psi))
+        S += np.asarray(logpsi_of(paths.X), dtype=float) - float(logpsi_of(x0[None, :])[0])
+    clip.warn()
+    est, stderr = _log_mean_exp_rate(S, cfg.horizon)
+    return lam + est, stderr
 
 
 def check_stochastic_representation(
@@ -372,8 +407,9 @@ def check_stochastic_representation(
 ):
     """Monte Carlo check of V(x) = E[exp(int_0^tau (r - Lambda) dt) V(X_tau)].
 
-    tau is the first hitting time of the closed ball of radius R; paths that
-    fail to hit within the horizon are dropped and counted, and a point is
+    tau is the first hitting time of the closed ball of radius R, where each
+    path is frozen.  Paths that fail to hit within the horizon, or turn
+    non-finite, are dropped and counted as non-hitting, and a point is
     flagged inconclusive when more than 1% fail to hit.  Returns a list of
     dicts with ratio (estimate / V(x)), stderr, and the non-hitting fraction.
 
@@ -387,70 +423,24 @@ def check_stochastic_representation(
     chain under any (V, Lambda), so wrong inputs are still detected, while
     the weight variance collapses when the inputs are near the eigenpair.
     """
-    V_of = grid_interpolator(grid, np.asarray(V, dtype=float))
-    u_of = _resolve_policy(model, policy, grid)
-    grad_of = None
-    if twist_log_psi is not None:
-        arr = np.asarray(twist_log_psi, dtype=float).reshape(grid.shape)
-        grads = np.gradient(arr, *[ax for ax in grid.axes], edge_order=2)
-        if grid.dim == 1:
-            grads = [grads]
-        glp = np.stack([g.ravel() for g in grads], axis=-1)
-        grad_of = grid_interpolator(grid, glp)
-    d = model.dim
-    n = cfg.n_paths
-    sq = np.sqrt(cfg.dt)
+    clip = _ClipCount()
+    V_of = clip.field(grid, grid_interpolator(grid, np.asarray(V, dtype=float)))
+    u_of = _resolve_policy(model, policy, grid, clip)
+    w_of = None if twist_log_psi is None else _twist(grid, twist_log_psi, clip)
     results = []
 
     for pt in test_points:
-        x0 = np.asarray(pt, dtype=float).reshape(d)
+        x0 = np.asarray(pt, dtype=float).reshape(model.dim)
         if np.linalg.norm(x0) <= R:
             results.append(
                 {"point": x0, "ratio": 1.0, "stderr": 0.0, "nonhit": 0.0, "inconclusive": False}
             )
             continue
-        X = np.tile(x0, (n, 1))
-        I = np.zeros(n)
-        active = np.ones(n, dtype=bool)
-        factor = np.zeros(n)
-        hit_mask = np.zeros(n, dtype=bool)
-        for k in range(cfg.n_steps):
-            if not np.any(active):
-                break
-            u = u_of(X)
-            r = np.asarray(model.cost(X, u), dtype=float)
-            I += np.where(active, (r - Lambda) * cfg.dt, 0.0)
-            drift = np.asarray(model.drift(X, u), dtype=float)
-            xi = _step_normals(cfg.seed, k, n, d, cfg.antithetic)
-            if grad_of is not None:
-                g = np.asarray(grad_of(X), dtype=float)
-                s = np.asarray(model.sigma(X), dtype=float)
-                if s.ndim == 2:
-                    w = g @ s
-                    twist = w @ s.T
-                else:
-                    w = np.einsum("nij,ni->nj", s, g)
-                    twist = np.einsum("nij,nj->ni", s, w)
-                drift = drift + twist
-                # exact likelihood ratio of the plain vs twisted Euler kernel
-                I -= np.where(
-                    active,
-                    np.einsum("ni,ni->n", w, xi) * sq
-                    + 0.5 * np.einsum("ni,ni->n", w, w) * cfg.dt,
-                    0.0,
-                )
-            X = X + np.where(
-                active[:, None], drift * cfg.dt + _sigma_apply(model, X, xi) * sq, 0.0
-            )
-            arrived = active & (np.linalg.norm(X, axis=1) <= R)
-            if np.any(arrived):
-                factor[arrived] = np.exp(I[arrived]) * np.asarray(
-                    V_of(X[arrived]), dtype=float
-                )
-                hit_mask |= arrived
-                active &= ~arrived
-        nonhit = float((~hit_mask).mean())
-        vals = factor[hit_mask]
+        paths = _euler_maruyama(model, u_of, cfg, x0, w_of, stop_radius=R)
+        hit = ~np.isnan(paths.hit)
+        I = paths.cost - Lambda * paths.hit - paths.girsanov - paths.penalty
+        vals = np.exp(I[hit]) * np.asarray(V_of(paths.X[hit]), dtype=float)
+        nonhit = float((~hit).mean())
         denom = float(V_of(x0[None, :])[0])
         ratio = float(vals.mean() / denom) if vals.size else float("nan")
         stderr = (
@@ -465,6 +455,7 @@ def check_stochastic_representation(
                 "inconclusive": bool(nonhit > 0.01),
             }
         )
+    clip.warn()
     return results
 
 

@@ -114,8 +114,8 @@ def test_criterion_04_brute_force_equivalence():
         grid = build_grid(radii, counts)
         kernel = OperatorKernel(model, grid, "hybrid")
         mats = []
-        for u in model.controls.points:
-            Q = kernel.assemble(kernel.control_drift(u)).matrix.toarray()
+        for u, b in zip(model.controls.points, model.drift_table(kernel.coords)):
+            Q = kernel.assemble(b).matrix.toarray()
             r = np.asarray(model.cost(kernel.coords, u), dtype=float)
             mats.append(Q + np.diag(r))
         k, n = len(mats), grid.n_nodes

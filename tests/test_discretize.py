@@ -117,17 +117,32 @@ def test_policy_generator_matches_constant_control():
 
 
 def test_relaxed_policy_mixes_rows():
-    m = builtin_ou_lq(a=-1.0, sigma=1.0, q=1.0, c=1.0, u_max=2.0, n_controls=3)
-    g = build_grid([2.0], [21])
-    n = g.n_nodes
-    w = np.zeros((n, 3))
-    w[:, 0] = 0.5
-    w[:, 2] = 0.5
-    relaxed = MarkovPolicy(w)
-    Q_mix = assemble_policy_generator(m, g, relaxed).matrix.toarray()
-    Q0 = assemble_policy_generator(m, g, MarkovPolicy.constant(0, n)).matrix.toarray()
-    Q2 = assemble_policy_generator(m, g, MarkovPolicy.constant(2, n)).matrix.toarray()
-    assert np.allclose(Q_mix, 0.5 * (Q0 + Q2), atol=1e-12)
+    # the relaxed generator is the row mix of the per-control generators, also
+    # under upwind/hybrid rates that are not linear in the drift: with controls
+    # +-1 the mixed drift is 0, whose generator is off by 1/h = 4 per entry
+    cases = [
+        (builtin_ou_lq(a=-1.0, sigma=1.0, q=1.0, c=1.0, u_max=2.0, n_controls=3),
+         build_grid([2.0], [21]), (0, 2)),
+        (builtin_ou_lq(a=0.0, sigma=0.4, q=0.0, c=0.0, u_max=1.0, n_controls=2),
+         build_grid([1.0], [9]), (0, 1)),
+    ]
+    for m, g, (i, j) in cases:
+        n = g.n_nodes
+        w = np.zeros((n, m.controls.n_controls))
+        w[:, i] = 0.5
+        w[:, j] = 0.5
+        aux = 0.3 * np.sin(g.coords())
+        for scheme in ("hybrid", "upwind"):
+            for drift in (None, aux):
+                def gen(pol):
+                    return assemble_policy_generator(
+                        m, g, pol, aux_drift=drift, scheme=scheme
+                    ).matrix.toarray()
+
+                Q_mix = gen(MarkovPolicy(w))
+                Qi = gen(MarkovPolicy.constant(i, n))
+                Qj = gen(MarkovPolicy.constant(j, n))
+                assert np.allclose(Q_mix, 0.5 * (Qi + Qj), atol=1e-12)
 
 
 def test_policy_flip_changes_upwind_direction():
@@ -149,7 +164,7 @@ def _interior_consistency_error(model, grid, f, lf, scheme):
     kernel = OperatorKernel(model, grid, scheme)
     coords = kernel.coords
     V = f(coords)
-    applied = kernel.apply(kernel.control_drift(model.controls.points[0]), V)
+    applied = kernel.apply(model.drift_table(coords)[0], V)
     exact = lf(coords)
     I = kernel.I
     interior = np.all((I >= 1) & (I <= np.asarray(grid.counts) - 2), axis=1)

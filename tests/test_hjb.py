@@ -20,8 +20,8 @@ def brute_force_value(model, grid, tol=0.0):
     kernel = OperatorKernel(model, grid, "hybrid")
     n, k = kernel.n, model.controls.n_controls
     mats = []
-    for u in model.controls.points:
-        Q = kernel.assemble(kernel.control_drift(u)).matrix.toarray()
+    for u, b in zip(model.controls.points, model.drift_table(kernel.coords)):
+        Q = kernel.assemble(b).matrix.toarray()
         r = np.asarray(model.cost(kernel.coords, u), dtype=float)
         mats.append((Q, r))
     best = np.inf

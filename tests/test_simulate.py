@@ -1,5 +1,11 @@
-import numpy as np
+import hashlib
+import re
+import warnings
 
+import numpy as np
+import pytest
+
+from ersc.discretize import build_grid
 from ersc.eigensolve import policy_value
 from ersc.hjb import MarkovPolicy, value_gradient_field
 from ersc.model import ControlSet, DiffusionModel, builtin_ou_lq
@@ -82,6 +88,111 @@ def test_blowup_paths_excluded():
     assert ens.excluded > 0
     assert np.all(np.isfinite(ens.terminal))
     assert np.all(np.isfinite(ens.cost_integral))
+
+
+def explode_model():
+    # supercritical drift x^3: paths started at x = 2 leave every bound
+    return DiffusionModel(
+        dim=1,
+        drift=lambda x, u: np.asarray(x, dtype=float) ** 3,
+        sigma=lambda x: np.array([[1.0]]),
+        cost=lambda x, u: np.zeros(np.shape(np.asarray(x))[:-1]),
+        controls=ControlSet(np.array([[0.0]])),
+        nondeg_floor=1.0,
+        name="explode",
+    )
+
+
+def test_blowup_paths_fail_importance_sampling_loudly():
+    # a non-finite twisted path has no weight: the estimate must not be NaN
+    m = explode_model()
+    g = build_grid([2.0], [9])
+    pair = policy_value(m, g, MarkovPolicy.constant(0, g.n_nodes), tol=1e-10)
+    cfg = SimulationConfig(dt=0.5, horizon=40.0, n_paths=16, seed=2, x0=[2.0])
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match=r"\d+ of 16 importance-sampled paths"):
+            importance_sampled_cost(m, None, pair, cfg)
+        rows = check_stochastic_representation(
+            m, None, pair.vector, pair.value, 0.5, [[2.0]], cfg, g
+        )
+    # excluded paths count as non-hitting
+    assert rows[0]["nonhit"] > 0.0
+    assert rows[0]["inconclusive"]
+
+
+def test_clipped_aux_field_lookups_are_counted():
+    # Brownian paths leave the box [-0.5, 0.5]; a zero aux field leaves the
+    # paths unchanged, so the out-of-box states can be counted independently
+    m = brownian_model()
+    g = build_grid([0.5], [11])
+    cfg = SimulationConfig(dt=0.01, horizon=1.0, n_paths=32, seed=3, x0=[0.0])
+    with pytest.warns(UserWarning, match=r"state evaluations clipped") as rec:
+        ens = simulate(m, None, cfg, aux=np.zeros((g.n_nodes, 1)), grid=g)
+    counted = int(re.search(r"(\d+) state evaluations clipped", str(rec[0].message)).group(1))
+    steps = [_step_normals(3, k, 32, 1, False) for k in range(cfg.n_steps)]
+    X = np.sqrt(cfg.dt) * np.cumsum(np.stack(steps), axis=0)
+    outside = int((np.abs(X[:-1]) > 0.5).sum())  # states looked up at steps 1..n-1
+    assert counted == outside > 0
+    assert np.allclose(ens.terminal, X[-1])
+
+
+# PathEnsemble.digest() and the occupation histogram of small runs, pinned so
+# that any change to the stepper's arithmetic shows up in the test suite
+PINNED = {
+    "plain": ("fb1525b136bcf84dca50892fe503404550e00873717d2d53b2809e36f2d8699f", None),
+    "antithetic": ("7e5de99bba9e30ea9beb8614fe13d46354a1235474a695f655faeebfb6d3bfe0", None),
+    "aux_callable": ("4f01b703d81b3650d819eb2f48e9efa66e8063f606610b9f83c247c08c39f097", None),
+    "aux_field": ("49f0aee527febe48bdd29a7164be6f748e9b9ccee03089ee869ce460840c2c6e", None),
+    "record_mem": (
+        "fb1525b136bcf84dca50892fe503404550e00873717d2d53b2809e36f2d8699f",
+        "2787f1ccca0f3e4c12d3f53ca543776bfe0d390ec43bb30fabd182f2fe3d0045",
+    ),
+    "target_radius": ("4b6e0734ddcb1591a5a0d94d23bcd87ab4258f720dbfdebf03d82689411430aa", None),
+    "markov_policy": ("6cd6e221351487d49048bfb3a9d0f8feb220ce9a2c418ff5680495c18ceb33ea", None),
+    "state_sigma_aux": ("dc00792562e915471da98cb8c1eccf654a8ad09197bdc448925640e8cd7a896b", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_pinned_digests(case, ou_uncontrolled, grid_241):
+    base = dict(dt=0.01, horizon=1.0, n_paths=64, seed=9, x0=[0.5])
+    model, policy, kw = ou_uncontrolled, None, {}
+    if case == "antithetic":
+        base.update(n_paths=63, antithetic=True)
+    elif case == "aux_callable":
+        kw = {"aux": lambda x: -0.5 * x}
+    elif case == "aux_field":
+        kw = {"aux": 0.5 * np.tanh(grid_241.coords()), "grid": grid_241}
+    elif case == "record_mem":
+        base.update(record_mem=True, mem_stride=5)
+        kw = {"grid": grid_241}
+    elif case == "target_radius":
+        base.update(x0=[2.0], horizon=2.0, target_radius=1.0)
+    elif case == "markov_policy":
+        model = builtin_ou_lq(a=-1.0, sigma=1.0, q=1.0, c=2.0, u_max=5.0, n_controls=5)
+        policy = MarkovPolicy(np.arange(grid_241.n_nodes) % 5)
+        kw = {"grid": grid_241}
+    elif case == "state_sigma_aux":
+        model = DiffusionModel(
+            dim=1,
+            drift=lambda x, u: -np.asarray(x, dtype=float),
+            sigma=lambda x: np.sqrt(1.0 + 0.1 * np.asarray(x, dtype=float) ** 2)[..., None],
+            cost=lambda x, u: 0.5 * np.asarray(x, dtype=float)[..., 0] ** 2,
+            controls=ControlSet(np.array([[0.0]])),
+            nondeg_floor=1.0,
+            name="state_sigma",
+        )
+        kw = {"aux": lambda x: 0.3 * np.ones_like(x)}
+    ens = simulate(model, policy, SimulationConfig(**base), **kw)
+    digest, mem = PINNED[case]
+    assert ens.digest() == digest
+    if mem is None:
+        assert ens.mem_masses is None
+    else:
+        assert hashlib.sha256(ens.mem_masses.tobytes()).hexdigest() == mem
+    if case == "target_radius":
+        assert int(np.isfinite(ens.hitting_time).sum()) == 62
 
 
 def test_estimate_constant_cost_exact():
