@@ -35,7 +35,8 @@ def game_sweep():
 def maximizer_vs_twisted_drift():
     print("\n== maximizer field vs Sigma' grad(log psi) ==")
     pol = MarkovPolicy.constant(0, GRID.n_nodes)
-    val, aux = sup_w_fixed_policy(MODEL, GRID, pol, epsilon=0.0, l=8.0, L_star=26.0)
+    sol = sup_w_fixed_policy(MODEL, GRID, pol, epsilon=0.0, l=8.0, L_star=26.0)
+    val, aux = sol.value, sol.w_policy
     pair = policy_value(MODEL, GRID, pol)
     omega = value_gradient_field(pair.vector, GRID, model=MODEL)
     x = GRID.coords().ravel()

@@ -153,11 +153,9 @@ class GeneratorMatrix:
         return float(off.min()) if off.size else 0.0
 
     def is_irreducible(self) -> bool:
-        coo = self.matrix.tocoo()
-        mask = coo.row != coo.col
-        adj = sp.coo_matrix(
-            (np.ones(mask.sum()), (coo.row[mask], coo.col[mask])), shape=self.matrix.shape
-        )
+        # every stored entry is an edge; self-loops leave strong components unchanged
+        m = self.matrix.tocsr()
+        adj = sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape, copy=True)
         ncomp, _ = connected_components(adj, directed=True, connection="strong")
         return ncomp == 1
 

@@ -114,11 +114,15 @@ def principal_eigenpair(
         if not gm.is_irreducible():
             raise EigenSolveError("generator is reducible; Perron pair is ill-posed")
 
-    A = (Qm + sp.diags(r)).tocsc()
     dense = n <= _DENSE_CUTOFF
     if dense:
-        A_dense = A.toarray()
+        # the entries and the column-major layout of the sparse sum below,
+        # without its sparse-format round trips
+        A_dense = Qm.toarray(order="F")
+        A_dense[np.diag_indices(n)] += r
         eye = np.eye(n)
+    else:
+        A = (Qm + sp.diags(r)).tocsc()
 
     pad = max(1.0, 1e-2 * float(np.max(np.abs(r))) if r.size else 1.0)
     psi = np.ones(n)

@@ -14,6 +14,14 @@ average-cost Poisson equation converge to the saddle point.
 The w-maximization is available in closed form (quadratic penalty against a
 linear reward over a ball); the cutoff is folded in exactly by the
 substitution y = chi_l w.
+
+One alternating loop computes three values and returns its GameSolution
+(value, bias, both policies, residual, iterations, history): the saddle point
+(``solve_ergodic_game``), the risk-sensitive cost of a fixed policy
+(``sup_w_fixed_policy``, v held fixed) and the conventional average cost
+(``average_cost_solve``, l = 0 so w = 0, no payoff cap).  It stops once the
+Isaacs residual is below tol and the last step moved rho and w by less than
+sqrt(tol), and raises GameSolveError when max_iter steps run out.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ import scipy.sparse.linalg as spla
 
 from .discretize import Grid, OperatorKernel
 from .hjb import MarkovPolicy
+from .model import sigma_t_times, sigma_times
+from .perturb import perturbed_cost
 
 __all__ = [
     "AuxiliaryPolicy",
@@ -90,7 +100,8 @@ class AuxiliaryPolicy:
 
 @dataclass(frozen=True)
 class GameSolution:
-    """Saddle point of the truncated ergodic game."""
+    """Result of the game loop: the saddle point of the truncated ergodic
+    game, or its fixed-policy or w = 0 (average-cost) restriction."""
 
     value: float
     bias: np.ndarray
@@ -146,43 +157,29 @@ def solve_poisson(G, f: np.ndarray, origin_node: int):
     return float(sol[n]), sol[:n]
 
 
-def _sigma_fields(model, coords):
-    s = np.asarray(model.sigma(coords), dtype=float)
-    if s.ndim == 2:
-        n = coords.shape[0]
-        s = np.broadcast_to(s, (n,) + s.shape)
-    return s
-
-
 class _GameIteration:
-    """Shared machinery for the saddle-point and fixed-policy iterations."""
+    """The alternating Howard loop on the average-cost Poisson equation.
 
-    def __init__(self, model, grid, epsilon, l, L_star, family, scheme):
+    ``r_all`` is the (k, n) running-cost table; the payoff caps it at L*.
+    l = 0 leaves the adversary no room, so w stays 0.
+    """
+
+    def __init__(self, model, grid, r_all, l, L_star, scheme):
+        if l < 0:
+            raise ValueError("l must be nonnegative")
         self.kernel = OperatorKernel(model, grid, scheme)
         self.grid = grid
-        self.model = model
         self.l = float(l)
         self.L_star = float(L_star)
-        if self.l <= 0:
-            raise ValueError("l must be positive")
         coords = self.kernel.coords
         self.chi = radial_cutoff(coords, self.l)
-        self.sig = _sigma_fields(model, coords)
-
-        if epsilon == 0.0:
-            cost = model.cost
-        else:
-            if family is None:
-                raise ValueError("epsilon > 0 requires a perturbation family")
-            from .perturb import perturbed_cost
-
-            cost = perturbed_cost(family, epsilon)
-        self.rc_all = np.minimum(model.cost_table(coords, cost), self.L_star)
+        self.sig = model.sigma(coords)
+        self.rc_all = np.minimum(r_all, self.L_star)
         self.b_all = model.drift_table(coords)
 
     def aux_drift(self, w: np.ndarray) -> np.ndarray:
         # Delta_l(x, w) = chi_l(x) Sigma(x) w(x)
-        return self.chi[:, None] * np.einsum("nij,nj->ni", self.sig, w)
+        return self.chi[:, None] * sigma_times(self.sig, w)
 
     def penalty(self, w: np.ndarray) -> np.ndarray:
         return 0.5 * np.einsum("ni,ni->n", self.chi[:, None] * w, self.chi[:, None] * w)
@@ -194,7 +191,7 @@ class _GameIteration:
 
     def improve_w(self, psi: np.ndarray) -> np.ndarray:
         # exact inner maximization with the cutoff folded in: y = chi w
-        gtilde = np.einsum("nij,ni->nj", self.sig, self.grid.gradient(psi))
+        gtilde = sigma_t_times(self.sig, self.grid.gradient(psi))
         y, _ = inner_max_w(gtilde, self.chi * self.l)
         w = np.zeros_like(y)
         alive = self.chi > 1e-12
@@ -204,10 +201,60 @@ class _GameIteration:
     def improve_v(self, psi: np.ndarray, w: np.ndarray) -> np.ndarray:
         return self.kernel.apply(self.b_all + self.aux_drift(w), psi) + self.rc_all
 
-    def bellman_residual(self, psi, rho, w) -> float:
-        rows = self.improve_v(psi, w)
-        best = np.min(rows, axis=0) - self.penalty(w)
-        return float(np.max(np.abs(best - rho)))
+    def solve(self, v: MarkovPolicy, tol: float, max_iter: int, hold_v: bool = False):
+        """Alternate the players' updates from (v, w = 0); stop and raise
+        rule as in the module docstring.
+
+        Each step solves the Poisson equation for (v, w), then refreshes w in
+        closed form and v by the row argmin.  ``hold_v`` keeps v, and the
+        residual is then v's own row.  The w* and rows that give a step's
+        Isaacs residual are the next step's updates.
+        """
+        w = np.zeros((self.kernel.n, self.grid.dim))
+        rho, psi = self.evaluate(v, w)
+        w_new = self.improve_w(psi)
+        rows = self.improve_v(psi, w_new)
+        history = []
+        residual = np.inf
+        for k in range(1, max_iter + 1):
+            history.append(rho)
+            if not hold_v:
+                v = MarkovPolicy(np.argmin(rows, axis=0), tag=f"game[{k}]")
+            rho_new, psi = self.evaluate(v, w_new)
+            w_next = self.improve_w(psi)
+            rows = self.improve_v(psi, w_next)
+            best = v.pick(rows) if hold_v else np.min(rows, axis=0)
+            residual = float(np.max(np.abs(best - self.penalty(w_next) - rho_new)))
+            moved = max(
+                float(np.max(np.linalg.norm(w_new - w, axis=-1))), abs(rho_new - rho)
+            )
+            w, w_new, rho = w_new, w_next, rho_new
+            if residual < tol and moved < max(tol, 1e-12) ** 0.5:
+                break
+        else:
+            raise GameSolveError(
+                f"game iteration stopped at residual {residual:g} after {max_iter} steps"
+            )
+        return GameSolution(
+            value=rho,
+            bias=psi,
+            v_policy=v,
+            w_policy=AuxiliaryPolicy(field=w, bound=self.l, cutoff=self.chi),
+            residual=residual,
+            iterations=k,
+            history=history,
+            l=self.l,
+            L_star=self.L_star,
+            grid=self.grid,
+        )
+
+
+def _cost_table(model, grid: Grid, epsilon: float, family):
+    """The (k, n) running-cost table, perturbed by ``family`` when epsilon > 0."""
+    if epsilon != 0.0 and family is None:
+        raise ValueError("epsilon > 0 requires a perturbation family")
+    cost = perturbed_cost(family, epsilon) if epsilon != 0.0 else None
+    return model.cost_table(grid.coords(), cost)
 
 
 def solve_ergodic_game(
@@ -228,52 +275,17 @@ def solve_ergodic_game(
     Q^{v,w} Psi + f = rho, Psi(origin) = 0 is solved exactly; then w is
     refreshed by the closed-form ball maximization on chi_l Sigma' grad Psi
     and v by the pointwise row minimization.  Stops when the Isaacs residual
-    (Bellman defect of the coupled system) falls below tol.
+    (Bellman defect of the coupled system) is below tol and the last step
+    moved rho and w by less than sqrt(tol); raises GameSolveError when
+    ``max_iter`` steps run out.
 
     ``epsilon`` = 0 runs the game on the raw running cost; positive epsilon
     requires the perturbation ``family`` that defines the inf-compact blend.
     """
-    it = _GameIteration(model, grid, epsilon, l, L_star, family, scheme)
-    n = it.kernel.n
+    r_all = _cost_table(model, grid, epsilon, family)
+    it = _GameIteration(model, grid, r_all, l, L_star, scheme)
     v = v_init or MarkovPolicy(np.argmin(it.rc_all, axis=0), tag="myopic")
-    w = np.zeros((n, grid.dim))
-
-    history = []
-    residual = np.inf
-    rho, psi = it.evaluate(v, w)
-    k = 0
-    for k in range(1, max_iter + 1):
-        history.append(rho)
-        w_new = it.improve_w(psi)
-        rows = it.improve_v(psi, w_new)
-        v_new = MarkovPolicy(np.argmin(rows, axis=0), tag=f"game[{k}]")
-        rho_new, psi_new = it.evaluate(v_new, w_new)
-        residual = it.bellman_residual(psi_new, rho_new, it.improve_w(psi_new))
-        moved = max(
-            float(np.max(np.linalg.norm(w_new - w, axis=-1))), abs(rho_new - rho)
-        )
-        v, w, rho, psi = v_new, w_new, rho_new, psi_new
-        if residual < tol and moved < max(tol, 1e-12) ** 0.5:
-            break
-    else:
-        if residual > tol * 100:
-            raise GameSolveError(
-                f"game iteration stalled at residual {residual:g} after {max_iter} steps"
-            )
-
-    aux = AuxiliaryPolicy(field=w, bound=it.l, cutoff=it.chi)
-    return GameSolution(
-        value=rho,
-        bias=psi,
-        v_policy=v,
-        w_policy=aux,
-        residual=residual,
-        iterations=k,
-        history=history,
-        l=it.l,
-        L_star=it.L_star,
-        grid=grid,
-    )
+    return it.solve(v, tol, max_iter)
 
 
 def sup_w_fixed_policy(
@@ -287,29 +299,20 @@ def sup_w_fixed_policy(
     max_iter: int = 200,
     family=None,
     scheme: str = "hybrid",
-):
+) -> GameSolution:
     """Adversary-only iteration: approximates the policy's risk-sensitive value
-    from below, increasing in l.  Returns (value, AuxiliaryPolicy).
+    from below, increasing in l.
+
+    The game loop with v held at ``policy``; its residual is the policy's own
+    Bellman row, and the stop and raise rule is that of solve_ergodic_game.
     """
-    if L_star is None:
-        L_star = default_truncation_rule(l)
-    it = _GameIteration(model, grid, epsilon, l, L_star, family, scheme)
     if policy.is_relaxed:
         raise GameSolveError("fixed-policy game expects a precise policy")
-    n = it.kernel.n
-    w = np.zeros((n, grid.dim))
-    rho_prev = -np.inf
-    rho, psi = it.evaluate(policy, w)
-    for _ in range(max_iter):
-        w_new = it.improve_w(psi)
-        rho_new, psi_new = it.evaluate(policy, w_new)
-        moved = float(np.max(np.linalg.norm(w_new - w, axis=-1)))
-        w, psi = w_new, psi_new
-        rho_prev, rho = rho, rho_new
-        if abs(rho - rho_prev) < tol and moved < max(tol, 1e-12) ** 0.5:
-            break
-    aux = AuxiliaryPolicy(field=w, bound=it.l, cutoff=it.chi)
-    return rho, aux
+    if L_star is None:
+        L_star = default_truncation_rule(l)
+    r_all = _cost_table(model, grid, epsilon, family)
+    it = _GameIteration(model, grid, r_all, l, L_star, scheme)
+    return it.solve(policy, tol, max_iter, hold_v=True)
 
 
 def game_value_sweep(
@@ -348,27 +351,13 @@ def average_cost_solve(
     tol: float = 1e-10,
     max_iter: int = 200,
     scheme: str = "hybrid",
-):
+) -> GameSolution:
     """Conventional ergodic control value by average-cost policy iteration.
 
-    The w-player is frozen at zero, leaving plain Howard iteration on the
-    Poisson equation.  Returns (rho, Psi, policy).
+    The game loop with l = 0, which freezes the w-player at zero, and no
+    payoff cap (L* = inf): plain Howard iteration on the Poisson equation,
+    with the stop and raise rule of solve_ergodic_game.
     """
-    kernel = OperatorKernel(model, grid, scheme)
-    r_all = cost_scale * model.cost_table(kernel.coords, cost_fn)
-    b_all = model.drift_table(kernel.coords)
-    v = MarkovPolicy(np.argmin(r_all, axis=0), tag="myopic")
-    rho_prev = np.inf
-    for k in range(1, max_iter + 1):
-        G = kernel.assemble_policy(v, b_all)
-        rho, psi = solve_poisson(G, v.pick(r_all), grid.origin_node)
-        rows = kernel.apply(b_all, psi) + r_all
-        v_new = MarkovPolicy(np.argmin(rows, axis=0), tag=f"avg[{k}]")
-        residual = float(np.max(np.abs(np.min(rows, axis=0) - rho)))
-        if np.array_equal(v_new.assignment, v.assignment) or (
-            abs(rho_prev - rho) < tol and residual < max(tol, 1e-9)
-        ):
-            return rho, psi, v
-        v = v_new
-        rho_prev = rho
-    raise GameSolveError(f"average-cost policy iteration did not settle in {max_iter} steps")
+    r_all = cost_scale * model.cost_table(grid.coords(), cost_fn)
+    it = _GameIteration(model, grid, r_all, 0.0, np.inf, scheme)
+    return it.solve(MarkovPolicy(np.argmin(r_all, axis=0), tag="myopic"), tol, max_iter)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .discretize import Grid, OperatorKernel
 from .eigensolve import Eigenpair, principal_eigenpair
+from .model import sigma_t_times
 
 __all__ = [
     "MarkovPolicy",
@@ -246,9 +247,4 @@ def value_gradient_field(solution_or_V, grid: Grid, model=None) -> np.ndarray:
         V = np.asarray(solution_or_V, dtype=float)
         if model is None:
             raise ValueError("model required when passing a raw vector")
-    g = grid.gradient(np.log(V))
-    coords = grid.coords()
-    s = np.asarray(model.sigma(coords), dtype=float)
-    if s.ndim == 2:
-        return g @ s  # constant Sigma: omega = Sigma' g, row convention
-    return np.einsum("nij,ni->nj", s, g)
+    return sigma_t_times(model.sigma(grid.coords()), grid.gradient(np.log(V)))

@@ -36,6 +36,8 @@ __all__ = [
     "check_assumptions",
     "verify_nondegeneracy",
     "lipschitz_ratio_samples",
+    "sigma_times",
+    "sigma_t_times",
 ]
 
 
@@ -169,6 +171,22 @@ class DiffusionModel:
             for u in self.controls.points
         ]
         return np.stack(rows, axis=0)
+
+
+def sigma_times(S, w: np.ndarray) -> np.ndarray:
+    """Sigma w, row-wise for w (n, d); S is Sigma constant (d, d) or per row (n, d, d)."""
+    S = np.asarray(S, dtype=float)
+    if S.ndim == 2:
+        return w @ S.T
+    return np.einsum("nij,nj->ni", S, w)
+
+
+def sigma_t_times(S, g: np.ndarray) -> np.ndarray:
+    """Sigma' g, row-wise for g (n, d); S is Sigma constant (d, d) or per row (n, d, d)."""
+    S = np.asarray(S, dtype=float)
+    if S.ndim == 2:
+        return g @ S
+    return np.einsum("nij,ni->nj", S, g)
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,6 @@ def kappa_sweep(
     for k in kappa_list:
         sol = solve_hjb(model, grid, tol=tol * k, cost_scale=k, scheme=scheme)
         entries.append((k, sol.value / k))
-    lam0, _, _ = average_cost_solve(model, grid, tol=tol, scheme=scheme)
+    lam0 = average_cost_solve(model, grid, tol=tol, scheme=scheme).value
     gaps = [v - lam0 for _, v in entries]
     return KappaSweepResult(entries=entries, lambda_zero=lam0, gaps=gaps)

@@ -32,6 +32,7 @@ from scipy.special import logsumexp
 from .discretize import Grid
 from .eigensolve import Eigenpair
 from .hjb import MarkovPolicy
+from .model import sigma_t_times, sigma_times
 
 __all__ = [
     "SimulationConfig",
@@ -167,11 +168,7 @@ def _twist(grid: Grid, log_psi: np.ndarray, clip: _ClipCount):
     """The eigenfunction twist w = Sigma' grad log psi as ``w(X, S)``."""
     grad_of = clip.field(grid, grid_interpolator(grid, grid.gradient(log_psi)))
 
-    def w(X, S):
-        g = np.asarray(grad_of(X), dtype=float)
-        return g @ S if S.ndim == 2 else np.einsum("nij,ni->nj", S, g)
-
-    return w
+    return lambda X, S: sigma_t_times(S, np.asarray(grad_of(X), dtype=float))
 
 
 def grid_interpolator(grid: Grid, values: np.ndarray) -> Callable:
@@ -189,12 +186,6 @@ def grid_interpolator(grid: Grid, values: np.ndarray) -> Callable:
         return fn(np.clip(x, lo, hi))
 
     return call
-
-
-def _sigma_apply(S, vec):
-    if S.ndim == 2:
-        return vec @ S.T
-    return np.einsum("nij,nj->ni", S, vec)
 
 
 # per path, dead ones included: final state, not excluded, int r dt,
@@ -238,10 +229,10 @@ def _euler_maruyama(
         xi = _step_normals(cfg.seed, k, n, d, cfg.antithetic)
         if w_of is not None:
             w = np.asarray(w_of(X, S), dtype=float)
-            drift = drift + _sigma_apply(S, w)
+            drift = drift + sigma_times(S, w)
             pen += np.where(moving, 0.5 * np.einsum("ni,ni->n", w, w), 0.0) * dt
             gir += np.where(moving, np.einsum("ni,ni->n", w, xi), 0.0) * sq
-        X = X + np.where(moving[:, None], drift * dt + _sigma_apply(S, xi) * sq, 0.0)
+        X = X + np.where(moving[:, None], drift * dt + sigma_times(S, xi) * sq, 0.0)
 
         bad = ~np.isfinite(X).all(axis=1)
         if np.any(bad & alive):

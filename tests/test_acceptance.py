@@ -159,9 +159,9 @@ def test_criterion_05_variational_oracle():
 def test_criterion_06_game_eigen_consistency(ou_uncontrolled, grid_241):
     t0 = time.perf_counter()
     pol = MarkovPolicy.constant(0, grid_241.n_nodes)
-    val, _ = sup_w_fixed_policy(
+    val = sup_w_fixed_policy(
         ou_uncontrolled, grid_241, pol, epsilon=0.0, l=8.0, L_star=26.0, tol=1e-10
-    )
+    ).value
     entries = game_value_sweep(
         ou_uncontrolled, grid_241, 0.0, [2.0, 4.0, 6.0, 8.0], tol=1e-10
     )
@@ -324,9 +324,9 @@ def test_criterion_11_structural_properties(ou_uncontrolled):
         b <= a + 1e-12 for a, b in zip(sol.history, sol.history[1:])
     )
 
-    val, aux = sup_w_fixed_policy(
+    aux = sup_w_fixed_policy(
         ou_uncontrolled, build_grid([6.0], [121]), MarkovPolicy.constant(0, 121), 0.0, l=8.0
-    )
+    ).w_policy
     chi = radial_cutoff(build_grid([6.0], [121]).coords(), 8.0)
     norms = np.linalg.norm(aux.field, axis=1)
     checks["aux_support_confined"] = bool(

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from ersc.discretize import build_grid
+from ersc.discretize import assemble_policy_generator, build_grid
 from ersc.eigensolve import policy_value
 from ersc.game import (
     AuxiliaryPolicy,
+    GameSolveError,
     average_cost_solve,
     default_truncation_rule,
     game_value_sweep,
@@ -86,20 +87,21 @@ def test_game_zero_cost(grid_241):
 
 def test_game_small_l_reduces_to_average_cost(ou_uncontrolled, grid_241):
     sol = solve_ergodic_game(ou_uncontrolled, grid_241, 0.0, l=1e-6, L_star=50.0, tol=1e-10)
-    rho, _, _ = average_cost_solve(
+    rho = average_cost_solve(
         ou_uncontrolled, grid_241, cost_fn=lambda x, u: np.minimum(
             ou_uncontrolled.cost(x, u), 50.0
         )
-    )
+    ).value
     assert abs(sol.value - rho) <= 1e-6
     assert np.max(np.linalg.norm(sol.w_policy.field, axis=1)) <= 1e-6
 
 
 def test_sup_w_matches_eigenvalue(ou_uncontrolled, grid_241):
     pol = MarkovPolicy.constant(0, grid_241.n_nodes)
-    val, aux = sup_w_fixed_policy(
+    sol = sup_w_fixed_policy(
         ou_uncontrolled, grid_241, pol, epsilon=0.0, l=8.0, L_star=26.0, tol=1e-10
     )
+    val, aux = sol.value, sol.w_policy
     assert abs(val - 0.25) <= 1e-2
     # maximizer tracks the twisted-drift field Sigma' grad(log psi) inside
     pair = policy_value(ou_uncontrolled, grid_241, pol, tol=1e-10)
@@ -134,7 +136,8 @@ def test_isaacs_fixed_point_swap_invariance(lq_model):
     sol = solve_ergodic_game(lq_model, grid, 0.0, l=6.0, L_star=22.0, tol=1e-9)
     from ersc.game import _GameIteration
 
-    it = _GameIteration(lq_model, grid, 0.0, 6.0, 22.0, None, "hybrid")
+    r_all = lq_model.cost_table(grid.coords())
+    it = _GameIteration(lq_model, grid, r_all, 6.0, 22.0, "hybrid")
     w = sol.w_policy.field
     # u-player cannot improve given (Psi, w*)
     rows = it.improve_v(sol.bias, w)
@@ -162,8 +165,52 @@ def test_consistency_sup_w_below_eigenvalue(lq_model):
     tol_h2 = 5e-3
     vals = []
     for l in (2.0, 4.0, 8.0):
-        val, _ = sup_w_fixed_policy(lq_model, grid, pol, 0.0, l, tol=1e-10)
+        val = sup_w_fixed_policy(lq_model, grid, pol, 0.0, l, tol=1e-10).value
         vals.append(val)
         assert val <= pair.value + tol_h2
     assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
     assert abs(vals[-1] - pair.value) <= 1e-2
+
+
+def test_sup_w_stops_on_fixed_policy_residual(ou_uncontrolled):
+    # the policy's Bellman row at the adversary's best reply to the returned
+    # bias, recomputed from the assembled generator, meets the tolerance
+    grid = build_grid([6.0], [121])
+    pol = MarkovPolicy.constant(0, 121)
+    sol = sup_w_fixed_policy(ou_uncontrolled, grid, pol, 0.0, l=8.0, tol=1e-9)
+    coords = grid.coords()
+    chi = radial_cutoff(coords, 8.0)
+    sig = ou_uncontrolled.sigma(coords)  # constant (1, 1)
+    y, _ = inner_max_w(grid.gradient(sol.bias) @ sig, 8.0 * chi)
+    w = np.zeros_like(y)
+    w[chi > 1e-12] = y[chi > 1e-12] / chi[chi > 1e-12, None]
+    G = assemble_policy_generator(
+        ou_uncontrolled, grid, pol, aux_drift=chi[:, None] * (w @ sig.T)
+    ).matrix
+    r = np.minimum(ou_uncontrolled.cost_table(coords)[0], default_truncation_rule(8.0))
+    penalty = 0.5 * np.sum((chi[:, None] * w) ** 2, axis=1)
+    residual = np.max(np.abs(G @ sol.bias + r - penalty - sol.value))
+    assert residual < 1e-9
+    assert sol.residual < 1e-9 and sol.iterations == len(sol.history)
+
+
+def test_sup_w_raises_when_max_iter_runs_out(ou_uncontrolled):
+    grid = build_grid([6.0], [121])
+    with pytest.raises(GameSolveError):
+        sup_w_fixed_policy(
+            ou_uncontrolled, grid, MarkovPolicy.constant(0, 121), 0.0, l=8.0, tol=1e-9,
+            max_iter=1,
+        )
+
+
+def test_game_raises_when_max_iter_runs_out(ou_uncontrolled, grid_241):
+    # five steps leave the residual near 7e-10, above tol = 1e-10
+    with pytest.raises(GameSolveError):
+        solve_ergodic_game(
+            ou_uncontrolled, grid_241, 0.0, l=8.0, L_star=26.0, tol=1e-10, max_iter=5
+        )
+
+
+def test_average_cost_raises_when_max_iter_runs_out(lq_model, grid_241):
+    with pytest.raises(GameSolveError):
+        average_cost_solve(lq_model, grid_241, max_iter=1)

@@ -10,6 +10,8 @@ from ersc.model import (
     builtin_w_network,
     check_assumptions,
     lipschitz_ratio_samples,
+    sigma_t_times,
+    sigma_times,
     verify_nondegeneracy,
     w_network_matrices,
 )
@@ -178,3 +180,13 @@ def test_w_network_assumption_constants(w_network):
     samples = [(x, u) for x in grid.coords()[::3] for u in w_network.controls.points]
     report = check_assumptions(w_network, lyap, hbar, (1.25, 5.5, 0.5), samples)
     assert report.ok, f"worst slack {report.worst_slack} at {report.worst_point}"
+
+
+def test_sigma_products_constant_and_per_node():
+    rng = np.random.default_rng(3)
+    S = rng.normal(size=(3, 3))
+    v = rng.normal(size=(5, 3))
+    per_node = np.broadcast_to(S, (5, 3, 3))
+    for Sig in (S, per_node):
+        assert np.allclose(sigma_times(Sig, v), [S @ row for row in v], rtol=0, atol=1e-14)
+        assert np.allclose(sigma_t_times(Sig, v), [S.T @ row for row in v], rtol=0, atol=1e-14)
