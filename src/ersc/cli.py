@@ -30,7 +30,7 @@ import yaml
 from . import __version__
 from .discretize import Grid, GridSchemeError, build_grid
 from .eigensolve import EigenSolveError, policy_value
-from .game import GameSolveError, default_truncation_rule, solve_ergodic_game
+from .game import GameSolveError, default_truncation_rule, game_value_sweep, solve_ergodic_game
 from .hjb import HjbError, MarkovPolicy, solve_hjb
 from .model import (
     ControlSet,
@@ -53,9 +53,10 @@ from .simulate import (
     SimulationConfig,
     check_stochastic_representation,
     estimate_rsc_cost,
+    mem_tightness_report,
     simulate,
 )
-from .variational import FiniteNoiseSpace, gibbs_identity_check
+from .variational import FiniteNoiseSpace, gibbs_identity_check, kl_divergence
 
 __all__ = ["main", "run", "emit_plot_data", "load_config", "canonical_digest"]
 
@@ -400,8 +401,6 @@ def _cmd_game(cfg, out_dir, seed):
     l_list = cfg.get("sweep", {}).get("l_list")
     out = {}
     if l_list:
-        from .game import game_value_sweep
-
         entries = game_value_sweep(
             model,
             grid,
@@ -511,8 +510,6 @@ def _cmd_simulate(cfg, out_dir, seed):
         out["tail_mass"] = est.tail_mass
     if ens.mem_masses is not None:
         radii = cfg.get("simulation", {}).get("mem_radii", [1.0, 2.0, 3.0, 4.0])
-        from .simulate import mem_tightness_report
-
         mem = mem_tightness_report(ens, radii)
         out["mem_entries"] = [[r, m] for r, m in zip(mem["radii"], mem["mass_beyond"])]
         out["mem_tight"] = mem["tight"]
@@ -537,8 +534,6 @@ def _cmd_verify_var(cfg, out_dir, seed):
         lhs, rhs, gap = gibbs_identity_check(space, f)
         max_gap = max(max_gap, gap)
         q = rng.dirichlet(np.ones(m))
-        from .variational import kl_divergence
-
         if q @ f - kl_divergence(q, p) > lhs + 1e-9:
             ineq_ok = False
     return {"n_spaces": n_spaces, "max_gap": max_gap, "inequality_ok": ineq_ok}

@@ -154,9 +154,7 @@ class GeneratorMatrix:
 
     def is_irreducible(self) -> bool:
         # every stored entry is an edge; self-loops leave strong components unchanged
-        m = self.matrix.tocsr()
-        adj = sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape, copy=True)
-        ncomp, _ = connected_components(adj, directed=True, connection="strong")
+        ncomp, _ = connected_components(self.matrix, directed=True, connection="strong")
         return ncomp == 1
 
     def dump_coo(self, path) -> None:

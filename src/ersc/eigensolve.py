@@ -5,15 +5,18 @@ with a strictly positive eigenvector (Perron structure); it equals the
 long-run exponential growth rate of the multiplicative semigroup and hence
 the risk-sensitive value of the fixed policy on the truncated chain.
 
-We compute it by shifted inverse power iteration: with shift s above the
-eigenvalue, (sI - A) is a nonsingular M-matrix, so every solve maps positive
-vectors to positive vectors and the iteration converges geometrically.  The
-returned bracket is the Collatz-Wielandt enclosure
+We compute it by shifted inverse power iteration, one sparse LU per shift:
+with shift s above the eigenvalue, (sI - A) is a nonsingular M-matrix, so
+every solve maps positive vectors to positive vectors and the iteration
+converges geometrically.  The returned bracket is the Collatz-Wielandt
+enclosure
 
     min_i (A psi)_i / psi_i  <=  lambda  <=  max_i (A psi)_i / psi_i,
 
 certified for every positive vector, so a tight bracket is a proof of the
-discrete eigenvalue independent of the iteration path.
+discrete eigenvalue independent of the iteration path.  The ratios are the
+edge differences r_i + sum_j q_ij (psi_j - psi_i) / psi_i of
+``OperatorKernel.apply``; a tolerance below their rounding floor raises.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -33,16 +35,14 @@ __all__ = [
     "Eigenpair",
     "FosterCertificate",
     "EigenSolveError",
+    "bracket_floor",
     "principal_eigenpair",
     "policy_value",
     "foster_lyapunov_certificate",
 ]
 
-_DENSE_CUTOFF = 600
-
-
 class EigenSolveError(RuntimeError):
-    """Raised when the Perron iteration cannot converge or Q is reducible."""
+    """Raised on non-convergence, a reducible Q or a tolerance below the floor."""
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,27 @@ class FosterCertificate:
     core_radius: float
 
 
-def _as_csr(Q):
-    if isinstance(Q, GeneratorMatrix):
-        return Q.matrix
-    return sp.csr_matrix(Q)
+def _edges(Q, r_vec):
+    """Q as CSR, its off-diagonal (rows, cols, rates), r_vec plus the row sums of Q
+    (reading its diagonal as minus the exit rates) and the ``bracket_floor``."""
+    m = Q.matrix if isinstance(Q, GeneratorMatrix) else sp.csr_matrix(Q)
+    r = np.asarray(r_vec, dtype=float).ravel()
+    if r.shape != (m.shape[0],):
+        raise ValueError("r_vec length does not match matrix size")
+    rows = np.repeat(np.arange(r.size), np.diff(m.indptr))
+    off = m.indices != rows
+    r = r + np.bincount(rows, m.data, r.size)
+    rows, cols, rates = rows[off], m.indices[off], m.data[off]
+    row_abs = 2.0 * np.bincount(rows, rates, r.size) + np.abs(r)
+    return m, rows, cols, rates, r, 8.0 * np.finfo(float).eps * float(np.max(row_abs))
+
+
+def bracket_floor(Q, r_vec) -> float:
+    """Rounding floor 8 eps max_i sum_j |A_ij| of the Collatz-Wielandt width of
+    A = Q + diag(r_vec).  Measured stalls lie at 0.3-7.6 eps max_i sum_j |A_ij|
+    on 1D chains of up to 7681 nodes and small dense chains; eigenvectors of
+    wide dynamic range stall higher."""
+    return _edges(Q, r_vec)[-1]
 
 
 def principal_eigenpair(
@@ -85,52 +102,44 @@ def principal_eigenpair(
     r_vec,
     tol: float = 1e-10,
     max_iter: int = 500,
-    check_irreducible: bool = True,
     origin_node: int = 0,
     grid: Optional[Grid] = None,
 ) -> Eigenpair:
-    """Perron pair of A = Q + diag(r_vec) by shifted inverse power iteration.
+    """Perron pair of A = Q + diag(r_vec) by sparse shifted inverse power iteration.
 
     Args:
-        Q: GeneratorMatrix or sparse matrix (conservative rate matrix).
-        r_vec: per-node nonnegative cost values.
-        tol: Collatz-Wielandt bracket width required on exit.
+        Q: GeneratorMatrix or sparse rate matrix (row sums fold into r).
+        r_vec: per-node cost values.
+        tol: bracket width required on exit, at least ``bracket_floor``.
         max_iter: iteration budget.
-        check_irreducible: verify strong connectivity of the rate graph.
         origin_node: node at which the eigenvector is normalized to 1.
 
     Raises:
-        EigenSolveError: on reducible Q, non-finite data, or non-convergence.
+        EigenSolveError: at once on a tolerance below the floor, reducible Q
+        or non-finite data; after max_iter iterations on non-convergence.
     """
-    Qm = _as_csr(Q)
-    r = np.asarray(r_vec, dtype=float).ravel()
-    n = Qm.shape[0]
-    if r.shape != (n,):
-        raise ValueError("r_vec length does not match matrix size")
+    m, rows, cols, rates, r, floor = _edges(Q, r_vec)
+    n = r.size
     if not np.all(np.isfinite(r)):
         raise EigenSolveError("r_vec contains non-finite entries")
-    if check_irreducible and n > 1:
-        gm = Q if isinstance(Q, GeneratorMatrix) else GeneratorMatrix(matrix=Qm)
-        if not gm.is_irreducible():
-            raise EigenSolveError("generator is reducible; Perron pair is ill-posed")
+    if tol < floor:
+        raise EigenSolveError(f"bracket tolerance {tol:g} is below the rounding floor {floor:g}")
+    if not GeneratorMatrix(matrix=m).is_irreducible():
+        raise EigenSolveError("generator is reducible; Perron pair is ill-posed")
 
-    dense = n <= _DENSE_CUTOFF
-    if dense:
-        # the entries and the column-major layout of the sparse sum below,
-        # without its sparse-format round trips
-        A_dense = Qm.toarray(order="F")
-        A_dense[np.diag_indices(n)] += r
-        eye = np.eye(n)
-    else:
-        A = (Qm + sp.diags(r)).tocsc()
+    # sI - A in sorted CSC order; each shift s rewrites the diagonal s + exit_i - r_i
+    i, j = np.concatenate([rows, np.arange(n)]), np.concatenate([cols, np.arange(n)])
+    order = np.lexsort((i, j))
+    entries = np.concatenate([-rates, np.bincount(rows, rates, n) - r])[order]
+    diag = (i == j)[order]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(j, minlength=n))])
+    M = sp.csc_matrix((entries.copy(), i[order], indptr), shape=(n, n))
 
-    pad = max(1.0, 1e-2 * float(np.max(np.abs(r))) if r.size else 1.0)
+    pad = max(1.0, 1e-2 * float(np.max(np.abs(r))))
     psi = np.ones(n)
-    psi /= psi[origin_node]
 
     def ratios(v):
-        Av = A_dense @ v if dense else A @ v
-        return Av / v
+        return r + np.bincount(rows, rates * (v[cols] - v[rows]), n) / v
 
     rat = ratios(psi)
     lo, up = float(rat.min()), float(rat.max())
@@ -141,15 +150,10 @@ def principal_eigenpair(
 
     for it in range(1, max_iter + 1):
         if solver is None:
-            if dense:
-                solver = sla.lu_factor(shift * eye - A_dense)
-            else:
-                solver = spla.splu((shift * sp.identity(n, format="csc")) - A)
-        if dense:
-            new = sla.lu_solve(solver, psi)
-        else:
-            new = solver.solve(psi)
-        ok = np.all(np.isfinite(new)) and new[origin_node] != 0.0
+            M.data[diag] = entries[diag] + shift
+            solver = spla.splu(M)
+        new = solver.solve(psi)
+        ok = np.isfinite(new).all() and new[origin_node] != 0.0
         if ok:
             new = new / new[origin_node]
             ok = new.min() > 0.0

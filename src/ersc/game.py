@@ -198,8 +198,12 @@ class _GameIteration:
         w[alive] = y[alive] / self.chi[alive, None]
         return w
 
-    def improve_v(self, psi: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return self.kernel.apply(self.b_all + self.aux_drift(w), psi) + self.rc_all
+    def improve_v(self, psi: np.ndarray, w: np.ndarray, held=None) -> np.ndarray:
+        """The (k, n) rows of every control, or the (n,) row of a held policy."""
+        if held is None:
+            return self.kernel.apply(self.b_all + self.aux_drift(w), psi) + self.rc_all
+        b = held.pick(self.b_all) + self.aux_drift(w)
+        return self.kernel.apply(b, psi) + held.pick(self.rc_all)
 
     def solve(self, v: MarkovPolicy, tol: float, max_iter: int, hold_v: bool = False):
         """Alternate the players' updates from (v, w = 0); stop and raise
@@ -207,23 +211,27 @@ class _GameIteration:
 
         Each step solves the Poisson equation for (v, w), then refreshes w in
         closed form and v by the row argmin.  ``hold_v`` keeps v, and the
-        residual is then v's own row.  The w* and rows that give a step's
-        Isaacs residual are the next step's updates.
+        residual is then v's own row, the only row evaluated.  The w* and
+        rows that give a step's Isaacs residual are the next step's updates.
+        A step that leaves v, w and rho bit for bit unchanged above tol would
+        repeat forever, so it raises GameSolveError at once.
         """
+        held = v if hold_v else None
         w = np.zeros((self.kernel.n, self.grid.dim))
         rho, psi = self.evaluate(v, w)
         w_new = self.improve_w(psi)
-        rows = self.improve_v(psi, w_new)
+        rows = self.improve_v(psi, w_new, held)
         history = []
         residual = np.inf
         for k in range(1, max_iter + 1):
             history.append(rho)
-            if not hold_v:
+            v_prev = v
+            if held is None:
                 v = MarkovPolicy(np.argmin(rows, axis=0), tag=f"game[{k}]")
             rho_new, psi = self.evaluate(v, w_new)
             w_next = self.improve_w(psi)
-            rows = self.improve_v(psi, w_next)
-            best = v.pick(rows) if hold_v else np.min(rows, axis=0)
+            rows = self.improve_v(psi, w_next, held)
+            best = np.min(rows, axis=0) if held is None else rows
             residual = float(np.max(np.abs(best - self.penalty(w_next) - rho_new)))
             moved = max(
                 float(np.max(np.linalg.norm(w_new - w, axis=-1))), abs(rho_new - rho)
@@ -231,6 +239,11 @@ class _GameIteration:
             w, w_new, rho = w_new, w_next, rho_new
             if residual < tol and moved < max(tol, 1e-12) ** 0.5:
                 break
+            if moved == 0.0 and np.array_equal(v.assignment, v_prev.assignment):
+                raise GameSolveError(
+                    f"game iteration stalled at residual {residual:g} (tol {tol:g}) "
+                    f"after {k} steps: v, w and rho no longer change"
+                )
         else:
             raise GameSolveError(
                 f"game iteration stopped at residual {residual:g} after {max_iter} steps"

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .discretize import Grid, OperatorKernel
-from .eigensolve import Eigenpair, principal_eigenpair
+from .eigensolve import Eigenpair, bracket_floor, principal_eigenpair
 from .model import sigma_t_times
 
 __all__ = [
@@ -147,7 +147,8 @@ def solve_hjb(
         initial_policy: starting precise policy (defaults to the myopic
             argmin of the running cost, ties to the lowest control index).
         cost_fn, cost_scale: running-cost override / scaling.
-        eig_tol: bracket tolerance for the inner eigensolves (default tol/10).
+        eig_tol: bracket tolerance for the inner eigensolves (default tol/10,
+            raised to each policy's ``bracket_floor``; below it, they raise).
 
     Raises:
         HjbError: if the iteration budget is exhausted.  A repeated policy
@@ -156,7 +157,6 @@ def solve_hjb(
     kernel = OperatorKernel(model, grid, scheme)
     r_all = cost_scale * model.cost_table(kernel.coords, cost_fn)
     b_all = model.drift_table(kernel.coords)
-    inner_tol = eig_tol if eig_tol is not None else max(tol * 0.1, 1e-13)
 
     if initial_policy is None:
         policy = MarkovPolicy(np.argmin(r_all, axis=0), tag="myopic")
@@ -168,17 +168,12 @@ def solve_hjb(
     history = []
     seen = {}
     prev_value = np.inf
-    pair = None
 
     for it in range(1, max_iter + 1):
+        Q, r = kernel.assemble_policy(policy, b_all), policy.pick(r_all)
+        inner_tol = eig_tol if eig_tol is not None else max(0.1 * tol, bracket_floor(Q, r))
         pair = principal_eigenpair(
-            kernel.assemble_policy(policy, b_all),
-            policy.pick(r_all),
-            tol=inner_tol,
-            max_iter=1000,
-            check_irreducible=(it == 1),
-            origin_node=grid.origin_node,
-            grid=grid,
+            Q, r, tol=inner_tol, max_iter=1000, origin_node=grid.origin_node, grid=grid
         )
         lam, V = pair.value, pair.vector
         history.append(lam)

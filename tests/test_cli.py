@@ -208,6 +208,14 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERROR:solver:")
 
 
+def test_eigen_tolerance_below_rounding_floor_exit_code(tmp_path, capsys):
+    path = write_cfg(tmp_path, {"solver": {"tol": 1e-16, "max_iter": 60}}, name="floor.yaml")
+    rc = main(["eigen", "--config", str(path), "--out", str(tmp_path / "o5")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR:solver:") and "rounding floor" in err
+
+
 def test_canonical_roundtrip_digest(tmp_path):
     path = write_cfg(tmp_path, {"simulation": {"dt": 0.01, "horizon": 1.0, "n_paths": 8, "seed": 1, "x0": [0.0]}})
     run("simulate", path, out_dir=tmp_path / "out")

@@ -1,14 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from ersc.discretize import OperatorKernel, build_grid
 from ersc.eigensolve import (
     EigenSolveError,
+    bracket_floor,
     foster_lyapunov_certificate,
     policy_value,
     principal_eigenpair,
 )
-from ersc.hjb import MarkovPolicy
+from ersc.hjb import MarkovPolicy, solve_hjb
 
 GOLDEN = (-1.0 + np.sqrt(5.0)) / 2.0  # root of l^2 + l - 1 = 0
 
@@ -133,3 +138,38 @@ def test_foster_certificate_zero_scale(ou_uncontrolled, grid_241):
     )
     assert abs(cert.eigenpair.value) <= 1e-10
     assert np.allclose(cert.eigenpair.vector, 1.0, atol=1e-8)
+
+
+def test_tolerance_below_rounding_floor_raises_at_once(ou_uncontrolled, grid_241, monkeypatch):
+    kernel = OperatorKernel(ou_uncontrolled, grid_241)
+    Q = kernel.assemble(ou_uncontrolled.drift_table(kernel.coords)[0])
+    r = ou_uncontrolled.cost_table(kernel.coords)[0]
+    floor = bracket_floor(Q, r)
+    row_sums = np.abs(Q.matrix.toarray() + np.diag(r)).sum(axis=1)
+    assert np.isclose(floor, 8.0 * np.finfo(float).eps * row_sums.max(), rtol=1e-12)
+
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("factorized before checking the tolerance")
+
+    monkeypatch.setattr(spla, "splu", no_factorization)
+    named = re.escape(f"rounding floor {floor:g}")
+    with pytest.raises(EigenSolveError, match=named):
+        principal_eigenpair(Q, r, tol=0.5 * floor)
+    with pytest.raises(EigenSolveError, match=named):
+        solve_hjb(ou_uncontrolled, grid_241, eig_tol=0.5 * floor)
+
+
+def test_small_kappa_lq_bracket_is_edge_difference_ratio(lq_model):
+    # kappa = 0.01 on 481 nodes puts the bracket width near its rounding floor
+    kappa, grid = 0.01, build_grid([6.0], [481])
+    sol = solve_hjb(lq_model, grid, tol=1e-11, cost_scale=kappa)
+    # Riccati: k solves (1/2 - 1/(4 kappa)) k^2 - k + kappa/2 = 0, value k/(2 kappa)
+    k = kappa / (1.0 + np.sqrt(1.0 - 2.0 * (0.5 - 0.25 / kappa) * kappa))
+    assert abs(sol.value / kappa - k / (2.0 * kappa)) <= 1e-3
+    # the bracket is min/max of the row ratios of OperatorKernel.apply
+    kernel = OperatorKernel(lq_model, grid)
+    V, pol = sol.V, sol.policy
+    rows = kernel.apply(pol.pick(lq_model.drift_table(kernel.coords)), V)
+    ratios = (rows + pol.pick(sol.cost_table) * V) / V
+    assert abs(sol.eigenpair.cw_lower - ratios.min()) <= 1e-15
+    assert abs(sol.eigenpair.cw_upper - ratios.max()) <= 1e-15

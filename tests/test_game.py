@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ersc import game
 from ersc.discretize import assemble_policy_generator, build_grid
 from ersc.eigensolve import policy_value
 from ersc.game import (
@@ -214,3 +215,20 @@ def test_game_raises_when_max_iter_runs_out(ou_uncontrolled, grid_241):
 def test_average_cost_raises_when_max_iter_runs_out(lq_model, grid_241):
     with pytest.raises(GameSolveError):
         average_cost_solve(lq_model, grid_241, max_iter=1)
+
+
+def test_game_loop_raises_at_once_when_it_stalls(monkeypatch):
+    # on 4801 nodes the residual's rounding floor (2.1e-10) is above the
+    # default tol; (v, w, rho) repeat bit for bit from step 3 on
+    calls = []
+    real = game.solve_poisson
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(game, "solve_poisson", counted)
+    model = builtin_ou_lq(a=-1.0, sigma=1.0, q=1.0, c=2.0, u_max=5.0, n_controls=41)
+    with pytest.raises(GameSolveError, match="stalled at residual"):
+        average_cost_solve(model, build_grid([6.0], [4801]))
+    assert len(calls) <= 5
