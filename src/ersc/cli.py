@@ -7,12 +7,19 @@ Commands: eigen, hjb, game, sweep-eps, sweep-kappa, simulate, verify-var,
 check-assumptions, rep-check.  Configs are YAML with nested blocks (model,
 grid, solver, sweep, perturb, simulation, output, ...); experiments are
 archival artifacts, so everything except the command name and paths lives in
-the config.  Outputs are CSV tables (header row, comma separated, '.'
-decimal) plus a JSON summary whose config digest is stable under canonical
-re-emission.
+the config.
 
-Exit status: 0 success, 2 validation error, 3 solver non-convergence.  Every
-failure prints a single machine-parsable line "ERROR:<category>: <message>".
+Each command is one entry of a dispatch table: a function of the config and
+the seed that returns ``(results, tables)``.  ``results`` becomes the
+"results" block of report.json; ``tables`` maps a CSV file name to
+``(header, rows)``.  ``run`` is the only writer: report.json (with the config
+digest, stable under canonical re-emission), config.canonical.yaml and every
+table through one CSV writer (header row, comma separated, '.' decimal).
+
+Exit status: 0 success, 2 invalid command line or config (any ValueError or
+PerturbationError, which the library raises on invalid inputs), 3 solver
+non-convergence or a non-monotone scheme.  Every failure prints a single
+machine-parsable line "ERROR:<category>: <message>".
 """
 
 from __future__ import annotations
@@ -58,19 +65,7 @@ from .simulate import (
 )
 from .variational import FiniteNoiseSpace, gibbs_identity_check, kl_divergence
 
-__all__ = ["main", "run", "emit_plot_data", "load_config", "canonical_digest"]
-
-COMMANDS = (
-    "eigen",
-    "hjb",
-    "game",
-    "sweep-eps",
-    "sweep-kappa",
-    "simulate",
-    "verify-var",
-    "check-assumptions",
-    "rep-check",
-)
+__all__ = ["main", "run", "load_config", "canonical_digest"]
 
 _SOLVER_ERRORS = (EigenSolveError, HjbError, GameSolveError, GridSchemeError)
 
@@ -197,13 +192,16 @@ def build_grid_from_cfg(cfg: dict) -> Grid:
         raise ConfigError(f"grid block invalid: {exc}") from exc
 
 
-def _solver_opts(cfg: dict) -> dict:
+def _setup(cfg: dict):
+    """The model, the grid and the solver options (tol, max_iter, scheme) of a grid command."""
+    model, grid = build_model(cfg), build_grid_from_cfg(cfg)
     block = cfg.get("solver", {})
-    return {
+    opts = {
         "tol": float(block.get("tol", 1e-8)),
         "max_iter": int(block.get("max_iter", 100)),
         "scheme": block.get("scheme", "hybrid"),
     }
+    return model, grid, opts
 
 
 def _policy_from_cfg(cfg: dict, model: DiffusionModel, grid: Grid) -> MarkovPolicy:
@@ -217,7 +215,7 @@ def _policy_from_cfg(cfg: dict, model: DiffusionModel, grid: Grid) -> MarkovPoli
     raise ConfigError(f"unknown policy type {kind!r}")
 
 
-def _named_xu_function(spec: dict, dim: int):
+def _named_xu_function(spec: dict):
     name = spec.get("name")
     if name == "one_plus_sq_norm":
         return lambda x, u: 1.0 + np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
@@ -233,31 +231,22 @@ def _named_xu_function(spec: dict, dim: int):
 def _family_from_cfg(cfg: dict, model: DiffusionModel, grid: Grid):
     block = _need(cfg, "perturb")
     C3 = float(block.get("C3", 0.5))
-    if not (0.0 < C3 < 1.0):
-        raise ConfigError("perturb.C3 must lie in (0, 1)")
     if "h" in block:
-        h = _named_xu_function(block["h"], model.dim)
-        return family_from_h(model, h, C3, grid=grid)
+        return family_from_h(model, _named_xu_function(block["h"]), C3, grid=grid)
     if "hbar" in block:
-        hbar = _named_xu_function(block["hbar"], model.dim)
-        try:
-            return build_h(
-                model, grid, hbar, C3, collar_width=float(block.get("collar_width", 1.0))
-            )
-        except PerturbationError as exc:
-            raise ConfigError(f"perturbation construction failed: {exc}") from exc
+        hbar = _named_xu_function(block["hbar"])
+        return build_h(model, grid, hbar, C3, collar_width=float(block.get("collar_width", 1.0)))
     raise ConfigError("perturb block needs either 'h' or 'hbar'")
 
 
-def _sim_config(cfg: dict, model: DiffusionModel, seed_override=None) -> SimulationConfig:
+def _sim_config(cfg: dict, model: DiffusionModel, seed) -> SimulationConfig:
     block = _need(cfg, "simulation")
     try:
-        seed = int(block.get("seed", 0)) if seed_override is None else int(seed_override)
         return SimulationConfig(
             dt=float(block["dt"]),
             horizon=float(block["horizon"]),
             n_paths=int(block["n_paths"]),
-            seed=seed,
+            seed=int(block.get("seed", 0) if seed is None else seed),
             x0=block.get("x0", [0.0] * model.dim),
             antithetic=bool(block.get("antithetic", False)),
             record_mem=bool(block.get("record_mem", False)),
@@ -300,132 +289,67 @@ def _jsonable(obj):
     return obj
 
 
-_SERIES = {
-    "epsilon_entries": ("value_vs_epsilon.csv", "epsilon,lambda_sm"),
-    "kappa_entries": ("value_vs_kappa.csv", "kappa,lambda_kappa,lambda_zero_gap"),
-    "game_entries": ("rho_vs_l.csv", "l,rho"),
-    "mem_entries": ("mem_shells.csv", "radius,mass_beyond"),
-}
-
-_EXPECTED_SERIES = {
-    "sweep-eps": ("epsilon_entries",),
-    "sweep-kappa": ("kappa_entries",),
-}
-
-
-def emit_plot_data(report: dict, out_dir, expected=None) -> list:
-    """Write two-column CSVs for the figure series the report contains.
-
-    ``expected`` names series the command should have produced; those are
-    reported with a notice when absent, all others are skipped silently.
-    """
-    out_dir = Path(out_dir)
-    written = []
-    results = report.get("results", {})
-    if expected is None:
-        expected = [k for k in _SERIES if k in results]
-    for key, (fname, header) in _SERIES.items():
-        rows = results.get(key)
-        if not rows:
-            if key in expected:
-                print(f"notice: series for {fname} not present; skipped")
-            continue
-        write_csv(out_dir / fname, header.split(","), rows)
-        written.append(fname)
-    return written
+def _node_table(points, names, *columns):
+    """A per-node table: the coordinates x0..x{d-1}, then one column per name."""
+    points = np.asarray(points, dtype=float)
+    header = [f"x{i}" for i in range(points.shape[1])] + list(names)
+    return header, np.column_stack([points, *columns]).tolist()
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: each returns (results, {csv name: (header, rows)})
 # ---------------------------------------------------------------------------
 
 
-def _cmd_eigen(cfg, out_dir, seed):
-    model = build_model(cfg)
-    grid = build_grid_from_cfg(cfg)
-    opts = _solver_opts(cfg)
+def _cmd_eigen(cfg, seed):
+    model, grid, opts = _setup(cfg)
     policy = _policy_from_cfg(cfg, model, grid)
     pair = policy_value(model, grid, policy, tol=opts["tol"], scheme=opts["scheme"])
-    coords = grid.coords()
-    write_csv(
-        out_dir / "eigenvector.csv",
-        [f"x{i}" for i in range(grid.dim)] + ["psi"],
-        [list(c) + [v] for c, v in zip(coords, pair.vector)],
-    )
-    return {
+    results = {
         "value": pair.value,
         "cw_lower": pair.cw_lower,
         "cw_upper": pair.cw_upper,
         "iterations": pair.iterations,
     }
+    return results, {"eigenvector.csv": _node_table(grid.coords(), ["psi"], pair.vector)}
 
 
-def _cmd_hjb(cfg, out_dir, seed):
-    model = build_model(cfg)
-    grid = build_grid_from_cfg(cfg)
-    opts = _solver_opts(cfg)
-    sol = solve_hjb(
-        model, grid, tol=opts["tol"], max_iter=opts["max_iter"], scheme=opts["scheme"]
-    )
-    coords = grid.coords()
+def _cmd_hjb(cfg, seed):
+    model, grid, opts = _setup(cfg)
+    sol = solve_hjb(model, grid, **opts)
     ctrl = sol.policy.control_values(model.controls.points)
-    write_csv(
-        out_dir / "value_function.csv",
-        [f"x{i}" for i in range(grid.dim)]
-        + ["V"]
-        + [f"u{i}" for i in range(ctrl.shape[1])],
-        [list(c) + [v] + list(u) for c, v, u in zip(coords, sol.V, ctrl)],
-    )
-    return {
+    names = ["V"] + [f"u{i}" for i in range(ctrl.shape[1])]
+    results = {
         "value": sol.value,
         "residual": sol.residual,
         "iterations": len(sol.history),
         "history": list(sol.history),
     }
+    return results, {"value_function.csv": _node_table(grid.coords(), names, sol.V, ctrl)}
 
 
-def _cmd_game(cfg, out_dir, seed):
-    model = build_model(cfg)
-    grid = build_grid_from_cfg(cfg)
-    opts = _solver_opts(cfg)
+def _cmd_game(cfg, seed):
+    model, grid, opts = _setup(cfg)
     block = cfg.get("game", {})
     epsilon = float(block.get("epsilon", 0.0))
-    family = None
-    if epsilon > 0.0:
-        family = _family_from_cfg(cfg, model, grid)
-        if epsilon >= family.eps0:
-            raise ConfigError(
-                f"game.epsilon {epsilon} must be below (1 - C3)/8 = {family.eps0:g}"
-            )
+    family = _family_from_cfg(cfg, model, grid) if epsilon > 0.0 else None
+    solve = {"tol": opts["tol"], "family": family, "scheme": opts["scheme"]}
 
+    results, tables = {}, {}
     l_list = cfg.get("sweep", {}).get("l_list")
-    out = {}
     if l_list:
-        entries = game_value_sweep(
-            model,
-            grid,
-            epsilon,
-            [float(l) for l in l_list],
-            tol=opts["tol"],
-            family=family,
-            scheme=opts["scheme"],
-        )
-        out["game_entries"] = [[l, v] for l, v in entries]
-        l = float(l_list[-1])
+        l_list = [float(l) for l in l_list]
+        entries = [[l, v] for l, v in game_value_sweep(model, grid, epsilon, l_list, **solve)]
+        results["game_entries"] = entries
+        tables["rho_vs_l.csv"] = (["l", "rho"], entries)
+        l = l_list[-1]
     else:
         l = float(block.get("l", 8.0))
 
     L_star = float(block.get("L_star", default_truncation_rule(l)))
-    sol = solve_ergodic_game(
-        model, grid, epsilon, l, L_star, tol=opts["tol"], family=family, scheme=opts["scheme"]
-    )
-    coords = grid.coords()
-    write_csv(
-        out_dir / "game_bias.csv",
-        [f"x{i}" for i in range(grid.dim)] + ["Psi"],
-        [list(c) + [v] for c, v in zip(coords, sol.bias)],
-    )
-    out.update(
+    sol = solve_ergodic_game(model, grid, epsilon, l, L_star, **solve)
+    tables["game_bias.csv"] = _node_table(grid.coords(), ["Psi"], sol.bias)
+    results.update(
         {
             "value": sol.value,
             "residual": sol.residual,
@@ -434,13 +358,11 @@ def _cmd_game(cfg, out_dir, seed):
             "L_star": sol.L_star,
         }
     )
-    return out
+    return results, tables
 
 
-def _cmd_sweep_eps(cfg, out_dir, seed):
-    model = build_model(cfg)
-    grid = build_grid_from_cfg(cfg)
-    opts = _solver_opts(cfg)
+def _cmd_sweep_eps(cfg, seed):
+    model, grid, opts = _setup(cfg)
     family = _family_from_cfg(cfg, model, grid)
     sweep = cfg.get("sweep", {})
     if "eps_fracs" in sweep:
@@ -451,40 +373,33 @@ def _cmd_sweep_eps(cfg, out_dir, seed):
             eps_list = [0.0] + eps_list
     else:
         raise ConfigError("sweep block needs 'eps_fracs' or 'eps_list'")
-    for e in eps_list:
-        if e >= family.eps0:
-            raise ConfigError(
-                f"epsilon {e} violates the budget (1 - C3)/8 = {family.eps0:g}"
-            )
     res = epsilon_sweep(model, grid, family, eps_list, tol=opts["tol"], scheme=opts["scheme"])
-    return {
-        "epsilon_entries": [[e, v] for e, v in res.entries],
+    entries = [[e, v] for e, v in res.entries]
+    results = {
+        "epsilon_entries": entries,
         "base_value": res.base_value,
         "gaps": res.gaps,
         "slope": res.slope,
     }
+    return results, {"value_vs_epsilon.csv": (["epsilon", "lambda_sm"], entries)}
 
 
-def _cmd_sweep_kappa(cfg, out_dir, seed):
-    model = build_model(cfg)
-    grid = build_grid_from_cfg(cfg)
-    opts = _solver_opts(cfg)
-    sweep = cfg.get("sweep", {})
-    kappas = sweep.get("kappa")
+def _cmd_sweep_kappa(cfg, seed):
+    model, grid, opts = _setup(cfg)
+    kappas = cfg.get("sweep", {}).get("kappa")
     if not kappas:
         raise ConfigError("sweep block needs a 'kappa' list")
-    for k in kappas:
-        if not (0.0 < float(k) <= 1.0):
-            raise ConfigError(f"kappa {k} outside (0, 1]")
-    res = kappa_sweep(model, grid, [float(k) for k in kappas], scheme=opts["scheme"])
+    res = kappa_sweep(model, grid, kappas, tol=opts["tol"], scheme=opts["scheme"])
     entries = [[k, v, v - res.lambda_zero] for (k, v) in res.entries]
-    return {"kappa_entries": entries, "lambda_zero": res.lambda_zero}
+    header = ["kappa", "lambda_kappa", "lambda_zero_gap"]
+    results = {"kappa_entries": entries, "lambda_zero": res.lambda_zero}
+    return results, {"value_vs_kappa.csv": (header, entries)}
 
 
-def _cmd_simulate(cfg, out_dir, seed):
+def _cmd_simulate(cfg, seed):
     model = build_model(cfg)
     grid = build_grid_from_cfg(cfg) if "grid" in cfg else None
-    sim_cfg = _sim_config(cfg, model, seed_override=seed)
+    sim_cfg = _sim_config(cfg, model, seed)
     policy = None
     if model.controls.n_controls > 1:
         if grid is None:
@@ -493,35 +408,34 @@ def _cmd_simulate(cfg, out_dir, seed):
     ens = simulate(model, policy, sim_cfg, grid=grid)
     L = cfg.get("simulation", {}).get("truncation_L")
     est = estimate_rsc_cost(ens, truncation_L=L)
-    if cfg.get("output", {}).get("per_path", False):
-        write_csv(
-            out_dir / "paths.csv",
-            [f"x{i}" for i in range(model.dim)] + ["cost_integral"],
-            [list(t) + [c] for t, c in zip(ens.terminal, ens.cost_integral)],
-        )
-    out = {
+    results = {
         "estimate": est.estimate,
         "stderr": est.stderr,
         "excluded_paths": ens.excluded,
         "digest": ens.digest(),
     }
+    tables = {}
+    if cfg.get("output", {}).get("per_path", False):
+        tables["paths.csv"] = _node_table(ens.terminal, ["cost_integral"], ens.cost_integral)
     if L is not None:
-        out["truncated_estimate"] = est.truncated_estimate
-        out["tail_mass"] = est.tail_mass
+        results["truncated_estimate"] = est.truncated_estimate
+        results["tail_mass"] = est.tail_mass
     if ens.mem_masses is not None:
         radii = cfg.get("simulation", {}).get("mem_radii", [1.0, 2.0, 3.0, 4.0])
         mem = mem_tightness_report(ens, radii)
-        out["mem_entries"] = [[r, m] for r, m in zip(mem["radii"], mem["mass_beyond"])]
-        out["mem_tight"] = mem["tight"]
-    return out
+        entries = [[r, m] for r, m in zip(mem["radii"], mem["mass_beyond"])]
+        results["mem_entries"] = entries
+        results["mem_tight"] = mem["tight"]
+        tables["mem_shells.csv"] = (["radius", "mass_beyond"], entries)
+    return results, tables
 
 
-def _cmd_verify_var(cfg, out_dir, seed):
+def _cmd_verify_var(cfg, seed):
     block = cfg.get("verify", {})
     n_spaces = int(block.get("n_spaces", 1000))
     max_atoms = int(block.get("max_atoms", 64))
     f_range = float(block.get("f_range", 20.0))
-    rng = np.random.default_rng(int(block.get("seed", 0)) if seed is None else int(seed))
+    rng = np.random.default_rng(int(seed))
     max_gap = 0.0
     ineq_ok = True
     for _ in range(n_spaces):
@@ -536,71 +450,50 @@ def _cmd_verify_var(cfg, out_dir, seed):
         q = rng.dirichlet(np.ones(m))
         if q @ f - kl_divergence(q, p) > lhs + 1e-9:
             ineq_ok = False
-    return {"n_spaces": n_spaces, "max_gap": max_gap, "inequality_ok": ineq_ok}
+    return {"n_spaces": n_spaces, "max_gap": max_gap, "inequality_ok": ineq_ok}, {}
 
 
-def _cmd_check_assumptions(cfg, out_dir, seed):
-    model = build_model(cfg)
-    grid = build_grid_from_cfg(cfg)
+def _cmd_check_assumptions(cfg, seed):
+    model, grid = build_model(cfg), build_grid_from_cfg(cfg)
     block = _need(cfg, "assumptions")
     lyap_spec = block.get("lyap", {})
     if lyap_spec.get("type") != "quadratic":
         raise ConfigError("assumptions.lyap.type must be 'quadratic'")
-    Q = np.asarray(lyap_spec["Q"], dtype=float)
+    Q = np.asarray(_need(lyap_spec, "Q", "assumptions.lyap"), dtype=float)
     lyap = QuadraticLyapLog(Q, const=float(lyap_spec.get("const", 0.0)))
-    hbar = _named_xu_function(_need(block, "hbar", "assumptions"), model.dim)
+    hbar = _named_xu_function(_need(block, "hbar", "assumptions"))
     constants = tuple(float(c) for c in _need(block, "constants", "assumptions"))
     if len(constants) != 3:
         raise ConfigError("assumptions.constants must be [C1, C2, C3]")
-    if not (0 < constants[2] < 1):
-        raise ConfigError("C3 must lie in (0, 1)")
     coords = grid.coords()
     stride = max(1, coords.shape[0] // int(block.get("max_points", 2000)))
-    samples = [
-        (x, u) for x in coords[::stride] for u in model.controls.points
-    ]
+    samples = [(x, u) for x in coords[::stride] for u in model.controls.points]
     report = check_assumptions(model, lyap, hbar, constants, samples)
-    return {
+    results = {
         "checked_points": report.checked_points,
         "n_violations": len(report.violations),
         "worst_slack": report.worst_slack,
         "ok": report.ok,
     }
+    return results, {}
 
 
-def _cmd_rep_check(cfg, out_dir, seed):
-    model = build_model(cfg)
-    grid = build_grid_from_cfg(cfg)
-    opts = _solver_opts(cfg)
+def _cmd_rep_check(cfg, seed):
+    model, grid, opts = _setup(cfg)
     block = _need(cfg, "rep_check")
     R = float(block.get("R", 1.0))
     pts = block.get("test_points")
     if not pts:
         raise ConfigError("rep_check.test_points required")
-    sim_cfg = _sim_config(cfg, model, seed_override=seed)
-    sol = solve_hjb(model, grid, tol=opts["tol"], scheme=opts["scheme"])
+    sim_cfg = _sim_config(cfg, model, seed)
+    sol = solve_hjb(model, grid, **opts)
     twist = np.log(sol.V) if block.get("twist", True) else None
     rows = check_stochastic_representation(
         model, sol.policy, sol.V, sol.value, R, pts, sim_cfg, grid, twist_log_psi=twist
     )
-    write_csv(
-        out_dir / "rep_check.csv",
-        [f"x{i}" for i in range(grid.dim)] + ["ratio", "stderr", "nonhit"],
-        [list(r["point"]) + [r["ratio"], r["stderr"], r["nonhit"]] for r in rows],
-    )
-    return {
-        "points": [
-            {
-                "point": r["point"],
-                "ratio": r["ratio"],
-                "stderr": r["stderr"],
-                "nonhit": r["nonhit"],
-                "inconclusive": r["inconclusive"],
-            }
-            for r in rows
-        ],
-        "value": sol.value,
-    }
+    names = ["ratio", "stderr", "nonhit"]
+    table = _node_table([r["point"] for r in rows], names, *([r[k] for r in rows] for k in names))
+    return {"points": rows, "value": sol.value}, {"rep_check.csv": table}
 
 
 _DISPATCH = {
@@ -615,18 +508,29 @@ _DISPATCH = {
     "rep-check": _cmd_rep_check,
 }
 
+COMMANDS = tuple(_DISPATCH)
+
 
 def run(command: str, config_path, out_dir=None, seed=None) -> dict:
-    """Execute one command and return its report (also written to report.json)."""
+    """Execute one command; write report.json, the canonical config and its CSV tables.
+
+    Returns the report.  Its seed is the one the command draws from: ``seed``
+    when given, else ``verify.seed`` (default 0) for verify-var and
+    ``simulation.seed`` for every other command.
+    """
     if command not in _DISPATCH:
         raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
     cfg = load_config(config_path)
-    out_block = cfg.get("output", {})
-    out_dir = Path(out_dir or out_block.get("directory", "."))
+    out_dir = Path(out_dir or cfg.get("output", {}).get("directory", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
+    if seed is None:
+        if command == "verify-var":
+            seed = cfg.get("verify", {}).get("seed", 0)
+        else:
+            seed = cfg.get("simulation", {}).get("seed")
 
     t0 = time.perf_counter()
-    results = _DISPATCH[command](cfg, out_dir, seed)
+    results, tables = _DISPATCH[command](cfg, seed)
     wall = time.perf_counter() - t0
 
     report = {
@@ -635,13 +539,14 @@ def run(command: str, config_path, out_dir=None, seed=None) -> dict:
         "results": _jsonable(results),
         "wall_time_s": wall,
         "version": __version__,
-        "seed": seed if seed is not None else cfg.get("simulation", {}).get("seed"),
+        "seed": seed,
     }
     with open(out_dir / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     with open(out_dir / "config.canonical.yaml", "w") as fh:
         fh.write(canonical_dump(cfg))
-    emit_plot_data(report, out_dir, expected=_EXPECTED_SERIES.get(command, ()))
+    for name, (header, rows) in tables.items():
+        write_csv(out_dir / name, header, rows)
     return report
 
 
@@ -661,15 +566,12 @@ def main(argv=None) -> int:
 
     try:
         report = run(args.command, args.config, args.out, args.seed)
-    except ConfigError as exc:
-        print(f"ERROR:config: {exc}", file=sys.stderr)
-        return 2
-    except PerturbationError as exc:
-        print(f"ERROR:config: {exc}", file=sys.stderr)
-        return 2
     except _SOLVER_ERRORS as exc:
         print(f"ERROR:solver: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, PerturbationError) as exc:
+        print(f"ERROR:config: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps({"command": report["command"], "results": report["results"]}, indent=2))
     return 0
 

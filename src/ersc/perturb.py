@@ -218,7 +218,9 @@ def epsilon_sweep(
         raise PerturbationError("eps_list must include 0 as the reference point")
     for e in eps_list:
         if e < 0 or e >= family.eps0:
-            raise PerturbationError(f"epsilon {e} outside [0, eps0={family.eps0:g})")
+            raise PerturbationError(
+                f"epsilon {e} outside [0, eps0), eps0 = (1 - C3)/8 = {family.eps0:g}"
+            )
 
     def value(e):
         return solve_hjb(

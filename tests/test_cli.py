@@ -1,9 +1,11 @@
 import json
 
 import numpy as np
+import pytest
 import yaml
 
-from ersc.cli import canonical_digest, emit_plot_data, load_config, main, run
+import ersc.cli
+from ersc.cli import canonical_digest, load_config, main, run
 
 OU_BLOCK = {
     "model": {
@@ -240,12 +242,67 @@ def test_csv_determinism(tmp_path):
     ).read_bytes()
 
 
-def test_emit_plot_data_skips_missing(tmp_path, capsys):
-    report = {"results": {"kappa_entries": [[1.0, 0.25, 0.06]]}}
-    written = emit_plot_data(report, tmp_path, expected=["kappa_entries", "epsilon_entries"])
-    out = capsys.readouterr().out
-    assert written == ["value_vs_kappa.csv"]
-    assert "value_vs_epsilon.csv" in out and "skipped" in out
-    assert (tmp_path / "value_vs_kappa.csv").read_text().splitlines()[0] == (
-        "kappa,lambda_kappa,lambda_zero_gap"
-    )
+OU_61 = dict(OU_BLOCK, grid={"radii": [6.0], "counts": [61]})
+ASSUMPTIONS = {
+    "lyap": {"type": "quadratic", "Q": [[0.125]]},
+    "hbar": {"name": "const", "value": 0.0},
+    "constants": [1.0, 1.0, 0.5],
+}
+SIMULATION = {"dt": 0.01, "horizon": 0.1, "n_paths": 8, "seed": 0, "x0": [0.0]}
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("check-assumptions", {"assumptions": dict(ASSUMPTIONS, constants=[0, 1, 0.5])}),
+        ("game", {"game": {"epsilon": 0.0}, "sweep": {"l_list": [4, 2]}}),
+        ("game", {"game": {"epsilon": 0.0, "l": -1}}),
+        ("simulate", {"simulation": dict(SIMULATION, x0=[0.0, 0.0])}),
+        ("sweep-kappa", {"sweep": {"kappa": ["abc"]}}),
+        ("check-assumptions", {"assumptions": dict(ASSUMPTIONS, lyap={"type": "quadratic"})}),
+    ],
+    ids=["zero-C1", "decreasing-l-list", "negative-l", "x0-dim", "kappa-text", "no-lyap-Q"],
+)
+def test_invalid_config_exit_code(tmp_path, capsys, command, extra):
+    path = write_cfg(tmp_path, extra, base=OU_61)
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("ERROR:config:") and err.count("\n") == 1
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_solver_block_reaches_kappa_sweep_and_rep_check(tmp_path, monkeypatch):
+    seen = {}
+
+    def spy(name):
+        def record(*args, **kwargs):
+            seen[name] = kwargs
+            raise _Stop
+
+        return record
+
+    monkeypatch.setattr(ersc.cli, "kappa_sweep", spy("kappa_sweep"))
+    monkeypatch.setattr(ersc.cli, "solve_hjb", spy("solve_hjb"))
+    solver = {"solver": {"tol": 1e-7, "max_iter": 37}}
+    path = write_cfg(tmp_path, dict(solver, sweep={"kappa": [1.0]}), base=OU_61)
+    with pytest.raises(_Stop):
+        run("sweep-kappa", path, out_dir=tmp_path / "k")
+    assert seen["kappa_sweep"]["tol"] == 1e-7
+    extra = dict(solver, rep_check={"test_points": [[2.0]]}, simulation=SIMULATION)
+    path = write_cfg(tmp_path, extra, name="rep.yaml", base=OU_61)
+    with pytest.raises(_Stop):
+        run("rep-check", path, out_dir=tmp_path / "r")
+    assert seen["solve_hjb"]["tol"] == 1e-7
+    assert seen["solve_hjb"]["max_iter"] == 37
+
+
+def test_verify_var_report_records_its_seed(tmp_path):
+    path = write_cfg(tmp_path, {"verify": {"n_spaces": 100, "seed": 0}})
+    report = run("verify-var", path, out_dir=tmp_path / "out")
+    assert report["seed"] == 0
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["seed"] == 0
+    assert run("verify-var", path, out_dir=tmp_path / "o2", seed=3)["seed"] == 3
