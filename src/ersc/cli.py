@@ -516,7 +516,8 @@ def run(command: str, config_path, out_dir=None, seed=None) -> dict:
 
     Returns the report.  Its seed is the one the command draws from: ``seed``
     when given, else ``verify.seed`` (default 0) for verify-var and
-    ``simulation.seed`` for every other command.
+    ``simulation.seed`` (default 0 when a ``simulation`` block is present)
+    for every other command.
     """
     if command not in _DISPATCH:
         raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
@@ -526,8 +527,8 @@ def run(command: str, config_path, out_dir=None, seed=None) -> dict:
     if seed is None:
         if command == "verify-var":
             seed = cfg.get("verify", {}).get("seed", 0)
-        else:
-            seed = cfg.get("simulation", {}).get("seed")
+        elif "simulation" in cfg:
+            seed = cfg["simulation"].get("seed", 0)
 
     t0 = time.perf_counter()
     results, tables = _DISPATCH[command](cfg, seed)

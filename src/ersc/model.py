@@ -176,6 +176,8 @@ class DiffusionModel:
 def sigma_times(S, w: np.ndarray) -> np.ndarray:
     """Sigma w, row-wise for w (n, d); S is Sigma constant (d, d) or per row (n, d, d)."""
     S = np.asarray(S, dtype=float)
+    if S.shape == (1, 1):
+        return w * S[0, 0] + 0.0  # w @ S.T bit for bit (it sums from +0.0), 5x faster
     if S.ndim == 2:
         return w @ S.T
     return np.einsum("nij,nj->ni", S, w)
@@ -184,6 +186,8 @@ def sigma_times(S, w: np.ndarray) -> np.ndarray:
 def sigma_t_times(S, g: np.ndarray) -> np.ndarray:
     """Sigma' g, row-wise for g (n, d); S is Sigma constant (d, d) or per row (n, d, d)."""
     S = np.asarray(S, dtype=float)
+    if S.shape == (1, 1):
+        return sigma_times(S, g)
     if S.ndim == 2:
         return g @ S
     return np.einsum("nij,ni->nj", S, g)

@@ -14,19 +14,35 @@ ratio of the plain against the w-drifted Euler chain.  On it sit:
 
 Randomness comes from a counter-based generator keyed by (seed, step), with
 paths laid out in a fixed order inside each step block, so runs are
-bit-reproducible for a fixed seed.
+bit-reproducible for a fixed seed.  The stepper does only the work its
+outputs depend on:
+
+  * compaction: while every path moves, each step works on whole arrays;
+    once a path has stopped (frozen at its hit, or dead), the policy, the
+    model callbacks, w and the update run on the moving rows only.  The full
+    normal block is still drawn each step, so a path's index keeps meaning
+    its position in the block;
+  * batched starts: the hitting-time check runs all its starting points in
+    one stepper call, path j of every start drawing row j of the block, the
+    same common random numbers that one call per point would draw;
+  * grid fields are interpolated by index arithmetic on the uniform grid,
+    and a one-control MarkovPolicy is its control point, so it needs no
+    nearest-node lookup.
+
+Clipped-lookup counts therefore cover only the lookups made: moving rows, and
+no policy lookup for a one-control model.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 from scipy.special import logsumexp
 
 from .discretize import Grid
@@ -134,7 +150,8 @@ class _ClipCount:
 
 def _resolve_policy(model, policy, grid: Optional[Grid], clip: _ClipCount):
     pts = model.controls.points
-    if policy is None:
+    if policy is None or (isinstance(policy, MarkovPolicy) and pts.shape[0] == 1):
+        # with one control every policy is that control: no node lookup
         if pts.shape[0] != 1:
             raise ValueError("policy required when the model has several controls")
         u0 = pts[0]
@@ -172,18 +189,65 @@ def _twist(grid: Grid, log_psi: np.ndarray, clip: _ClipCount):
 
 
 def grid_interpolator(grid: Grid, values: np.ndarray) -> Callable:
-    """Multilinear interpolation of per-node values, clipped to the grid box."""
+    """Multilinear interpolation of per-node values, clipped to the grid box.
+
+    Index arithmetic on the uniform grid, equal bit for bit to scipy's
+    ``RegularGridInterpolator(method="linear")``: the cell k of each axis has
+    a[k] <= x < a[k+1] (the last cell is closed on the right), the corners are
+    summed in ``itertools.product`` order, and each corner weight is the
+    product of the per-axis weights in axis order.  On a 2D grid with scalar
+    values scipy's compiled path multiplies the value by the weights one at a
+    time, and so does this.
+    """
     values = np.asarray(values, dtype=float)
-    target = values.reshape(grid.shape + values.shape[1:])
-    fn = RegularGridInterpolator(
-        grid.axes, target, method="linear", bounds_error=False, fill_value=None
-    )
-    lo = -grid.radii
-    hi = grid.radii
+    trailing = values.shape[1:]
+    table = values.reshape(values.shape[0], -1)
+    if table.shape[1] == 1:
+        table = table[:, 0]  # one value per node: work on flat arrays
+    d = grid.dim
+    lo, hi = -grid.radii, grid.radii
+    axes, h = grid.axes, grid.spacings
+    widths = [np.diff(a) for a in axes]  # a[k+1] - a[k], as scipy forms it
+    top = [int(c) - 2 for c in grid.counts]  # last cell index
+    strides = [int(s) for s in grid.strides()]
+    corners = [(c, int(np.dot(c, strides))) for c in itertools.product((0, 1), repeat=d)]
+    chained = d == 2 and not trailing
+
+    def cell(xi, i):
+        """Cell index k with a[k] <= xi < a[k+1] (the last closed) and its weight."""
+        a = axes[i]
+        k = ((xi - a[0]) / h[i]).astype(np.int64)  # floor, as xi >= a[0]
+        np.minimum(k, top[i], out=k)
+        y = (xi - a[k]) / widths[i][k]
+        if y.size and (y.min() < 0.0 or y.max() >= 1.0):  # k one off next to a node
+            k -= xi < a[k]
+            k += (xi >= a[k + 1]) & (k < top[i])
+            y = (xi - a[k]) / widths[i][k]
+        return k, y
 
     def call(x):
-        x = np.asarray(x, dtype=float)
-        return fn(np.clip(x, lo, hi))
+        pts = np.clip(np.asarray(x, dtype=float), lo, hi).reshape(-1, d)
+        base, weights = 0, []
+        for i in range(d):
+            k, y = cell(pts[:, i], i)
+            base = base + (k if strides[i] == 1 else k * strides[i])
+            weights.append((1 - y, y))
+        out = None
+        for c, off in corners:
+            v = table.take(base + off if off else base, axis=0)
+            if chained:
+                term = v * weights[0][c[0]] * weights[1][c[1]]
+            else:
+                w = weights[0][c[0]]
+                for i in range(1, d):
+                    w = w * weights[i][c[i]]
+                term = v * (w if v.ndim == 1 else w[:, None])
+            if out is None:
+                out = term
+                out += 0.0  # scipy sums from 0.0: a -0.0 first term reads +0.0
+            else:
+                out += term
+        return out.reshape(pts.shape[:1] + trailing)
 
     return call
 
@@ -198,55 +262,80 @@ def _euler_maruyama(
 ) -> _Paths:
     """The one Euler-Maruyama loop behind every route.
 
-    ``w_of(X, S)``, given Sigma(X) as S, adds the drift S w.  Hitting times of
-    the ball of radius ``stop_radius`` (else ``cfg.target_radius``) are
-    recorded; a stop radius also freezes each path at its hit.  Accumulators
-    run only on moving paths (alive and not frozen); paths that turn
-    non-finite are parked at x0 and marked dead.  The loop ends once no path
+    ``x0`` is a (B, d) stack of starting points; ``cfg.n_paths`` paths run
+    from each, path j of every start seeing row j of the step's normal block
+    (common random numbers), and the result holds the B ensembles one after
+    another.  ``w_of(X, S)``, given Sigma(X) as S, adds the drift S w.
+    Hitting times of the ball of radius ``stop_radius`` (else
+    ``cfg.target_radius``) are recorded; a stop radius also freezes each path
+    at its hit.  Paths that turn non-finite are parked at their start and
+    marked dead.  While every path moves, each step works on the whole
+    arrays; once one has stopped, the policy, the model callbacks, ``w_of``
+    and the update see only the moving rows.  The loop ends once no path
     moves.  ``mem_grid`` records the occupation masses every
     ``cfg.mem_stride`` steps.
     """
     n, d, dt = cfg.n_paths, model.dim, cfg.dt
     sq = np.sqrt(dt)
-    X = np.tile(x0, (n, 1))
-    cost = np.zeros(n)
-    pen = np.zeros(n)
-    gir = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    moving = alive
+    starts = np.asarray(x0, dtype=float).reshape(-1, d)
+    X0 = np.repeat(starts, n, axis=0)
+    X = X0.copy()
+    N = X.shape[0]
+    cost = np.zeros(N)
+    pen = np.zeros(N)
+    gir = np.zeros(N)
+    alive = np.ones(N, dtype=bool)
+    moving = np.ones(N, dtype=bool)
     radius = stop_radius if stop_radius is not None else cfg.target_radius
-    hit = None if radius is None else np.full(n, np.nan)
+    hit = None if radius is None else np.full(N, np.nan)
     mem_counts = None if mem_grid is None else np.zeros(mem_grid.n_nodes)
     mem_total = 0
+    rows = slice(None)  # every path moves: whole arrays, no gather
+
+    def row_ids(mask):
+        return np.flatnonzero(mask) if isinstance(rows, slice) else rows[mask]
 
     for k in range(cfg.n_steps):
-        if not np.any(moving):
-            break
-        u = u_of(X)
-        S = np.asarray(model.sigma(X), dtype=float)
-        cost += np.where(moving, np.asarray(model.cost(X, u), dtype=float), 0.0) * dt
-        drift = np.asarray(model.drift(X, u), dtype=float)
         xi = _step_normals(cfg.seed, k, n, d, cfg.antithetic)
+        if not isinstance(rows, slice):
+            xi = xi[rows % n]
+        elif N > n:
+            xi = np.tile(xi, (N // n, 1))
+        Xr = X[rows]
+        u = u_of(Xr)
+        S = np.asarray(model.sigma(Xr), dtype=float)
+        cost[rows] += np.asarray(model.cost(Xr, u), dtype=float) * dt
+        drift = np.asarray(model.drift(Xr, u), dtype=float)
         if w_of is not None:
-            w = np.asarray(w_of(X, S), dtype=float)
+            w = np.asarray(w_of(Xr, S), dtype=float)
             drift = drift + sigma_times(S, w)
-            pen += np.where(moving, 0.5 * np.einsum("ni,ni->n", w, w), 0.0) * dt
-            gir += np.where(moving, np.einsum("ni,ni->n", w, xi), 0.0) * sq
-        X = X + np.where(moving[:, None], drift * dt + sigma_times(S, xi) * sq, 0.0)
+            pen[rows] += 0.5 * np.einsum("ni,ni->n", w, w) * dt
+            gir[rows] += np.einsum("ni,ni->n", w, xi) * sq
+        Xr = Xr + (drift * dt + sigma_times(S, xi) * sq)
+        X[rows] = Xr
 
-        bad = ~np.isfinite(X).all(axis=1)
-        if np.any(bad & alive):
-            alive = alive & ~bad
-            X = np.where(alive[:, None], X, x0)  # park dead paths on a finite value
-        moving = alive
+        stopped = False
+        if not np.isfinite(Xr).all():
+            gone = row_ids(~np.isfinite(Xr).all(axis=1))
+            alive[gone] = moving[gone] = False
+            X[gone] = X0[gone]  # park dead paths on a finite value
+            stopped = True
         if hit is not None:
-            newly = alive & np.isnan(hit) & (np.linalg.norm(X, axis=1) <= radius)
-            hit[newly] = (k + 1) * dt
-            if stop_radius is not None:
-                moving = alive & np.isnan(hit)
+            # a non-finite row has a NaN or infinite norm, so it never arrives
+            newly = np.isnan(hit[rows]) & (np.linalg.norm(Xr, axis=1) <= radius)
+            if newly.any():
+                arrived = row_ids(newly)
+                hit[arrived] = (k + 1) * dt
+                if stop_radius is not None:
+                    moving[arrived] = False
+                    stopped = True
         if mem_counts is not None and (k % cfg.mem_stride == 0):
             np.add.at(mem_counts, mem_grid.nearest_node(X[alive]), 1.0)
             mem_total += int(alive.sum())
+        if stopped:
+            rows = np.flatnonzero(moving)
+            if rows.size == 0:
+                break
 
     if mem_total:
         mem_counts = mem_counts / mem_total
@@ -263,8 +352,8 @@ def simulate(
     """Euler-Maruyama paths of X (or the drift-augmented Z when ``aux`` is set).
 
     ``policy`` may be None (single-control model), a constant control point,
-    a vectorized callable x -> u, or a MarkovPolicy evaluated by nearest-node
-    lookup on ``grid``.  ``aux`` is the auxiliary field w, adding the drift
+    a vectorized row-wise callable x -> u, or a MarkovPolicy evaluated by
+    nearest-node lookup on ``grid`` (none for a one-control model).  ``aux`` is the auxiliary field w, adding the drift
     Sigma(x) w(x); it may be a callable or a per-node field (interpolated).
     Paths that leave the representable range (non-finite state) are excluded
     and counted.
@@ -418,19 +507,22 @@ def check_stochastic_representation(
     V_of = clip.field(grid, grid_interpolator(grid, np.asarray(V, dtype=float)))
     u_of = _resolve_policy(model, policy, grid, clip)
     w_of = None if twist_log_psi is None else _twist(grid, twist_log_psi, clip)
-    results = []
-
-    for pt in test_points:
-        x0 = np.asarray(pt, dtype=float).reshape(model.dim)
+    points = [np.asarray(pt, dtype=float).reshape(model.dim) for pt in test_points]
+    outside = [x0 for x0 in points if np.linalg.norm(x0) > R]
+    if outside:
+        paths = _euler_maruyama(model, u_of, cfg, np.stack(outside), w_of, stop_radius=R)
+        I = paths.cost - Lambda * paths.hit - paths.girsanov - paths.penalty
+    results, b = [], 0
+    for x0 in points:
         if np.linalg.norm(x0) <= R:
             results.append(
                 {"point": x0, "ratio": 1.0, "stderr": 0.0, "nonhit": 0.0, "inconclusive": False}
             )
             continue
-        paths = _euler_maruyama(model, u_of, cfg, x0, w_of, stop_radius=R)
-        hit = ~np.isnan(paths.hit)
-        I = paths.cost - Lambda * paths.hit - paths.girsanov - paths.penalty
-        vals = np.exp(I[hit]) * np.asarray(V_of(paths.X[hit]), dtype=float)
+        mine = slice(b * cfg.n_paths, (b + 1) * cfg.n_paths)  # this start's paths
+        b += 1
+        hit = ~np.isnan(paths.hit[mine])
+        vals = np.exp(I[mine][hit]) * np.asarray(V_of(paths.X[mine][hit]), dtype=float)
         nonhit = float((~hit).mean())
         denom = float(V_of(x0[None, :])[0])
         ratio = float(vals.mean() / denom) if vals.size else float("nan")

@@ -306,3 +306,14 @@ def test_verify_var_report_records_its_seed(tmp_path):
     assert report["seed"] == 0
     assert json.loads((tmp_path / "out" / "report.json").read_text())["seed"] == 0
     assert run("verify-var", path, out_dir=tmp_path / "o2", seed=3)["seed"] == 3
+
+
+def test_simulation_without_seed_reports_seed_zero(tmp_path):
+    path = write_cfg(
+        tmp_path, {"simulation": {"dt": 0.01, "horizon": 0.5, "n_paths": 32, "x0": [0.0]}}
+    )
+    report = run("simulate", path, out_dir=tmp_path / "out")
+    assert report["seed"] == 0
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["seed"] == 0
+    seeded = run("simulate", path, out_dir=tmp_path / "s0", seed=0)
+    assert report["results"]["digest"] == seeded["results"]["digest"]

@@ -1,19 +1,23 @@
+import dataclasses
 import hashlib
 import re
 import warnings
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
-from ersc.discretize import build_grid
+from ersc.discretize import Grid, build_grid
 from ersc.eigensolve import policy_value
 from ersc.hjb import MarkovPolicy, value_gradient_field
 from ersc.model import ControlSet, DiffusionModel, builtin_ou_lq
 from ersc.simulate import (
     SimulationConfig,
+    _euler_maruyama,
     _step_normals,
     check_stochastic_representation,
     estimate_rsc_cost,
+    grid_interpolator,
     importance_sampled_cost,
     mem_tightness_report,
     simulate,
@@ -375,3 +379,99 @@ def test_discretization_bias_richardson(ou_uncontrolled, grid_241):
     slope = (ests[0] - ests[1]) / (8e-3 - 4e-3)
     predict = ests[1] + slope * (2e-3 - 4e-3)
     assert abs(ests[2] - predict) <= 5 * (ses[2] + ses[1] + ses[0])
+
+
+@pytest.mark.parametrize(
+    "radii, counts, trailing",
+    [
+        ([6.0], [241], ()),
+        ([6.0], [241], (1,)),  # the (n, d) gradient field of a 1D grid
+        ([2.0], [7], (3,)),
+        ([1.5, 2.0], [7, 9], ()),  # scipy's compiled 2D path
+        ([1.5, 2.0], [7, 9], (2,)),
+        ([1.0, 2.0, 3.0], [5, 6, 7], ()),
+        ([1.0, 2.0, 3.0], [5, 6, 7], (3,)),
+    ],
+)
+def test_grid_interpolator_equals_scipy_bit_for_bit(radii, counts, trailing):
+    # scipy is the oracle: same cell, same corner order, same weight products
+    g = build_grid(radii, counts)
+    rng = np.random.default_rng(len(counts) * 10 + len(trailing))
+    values = rng.standard_normal((g.n_nodes,) + trailing)
+    values[: g.n_nodes // 3] = -0.0  # scipy's sum from 0.0 gives these +0.0
+    oracle = RegularGridInterpolator(
+        g.axes, values.reshape(g.shape + trailing), method="linear", bounds_error=False,
+        fill_value=None,
+    )
+    nodes = g.coords()
+    upper = nodes.copy()
+    upper[:, -1] = g.radii[-1]  # on the upper face of the last axis
+    inside = rng.uniform(-1.0, 1.0, (5000, g.dim)) * g.radii
+    outside = rng.uniform(1.05, 2.0, (500, g.dim)) * g.radii * rng.choice([-1, 1], (500, g.dim))
+    interp = grid_interpolator(g, values)
+
+    def same_bits(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    for x in (inside, nodes, upper, inside[:0]):
+        assert same_bits(interp(x), oracle(x))
+        assert interp(x).shape == (x.shape[0],) + trailing
+    assert same_bits(interp(outside), oracle(np.clip(outside, -g.radii, g.radii)))
+    assert np.array_equal(interp(nodes), values)
+
+
+def test_rep_check_batched_points_match_single_point_calls(ou_uncontrolled, grid_241):
+    pol = MarkovPolicy.constant(0, grid_241.n_nodes)
+    pair = policy_value(ou_uncontrolled, grid_241, pol, tol=1e-10)
+    cfg = SimulationConfig(dt=1e-2, horizon=3.0, n_paths=200, seed=23, x0=[0.0])
+    points = [[2.0], [0.5], [-1.6]]
+    args = (ou_uncontrolled, pol, pair.vector, pair.value, 1.0)
+    kw = dict(cfg=cfg, grid=grid_241, twist_log_psi=np.log(pair.vector))
+    together = check_stochastic_representation(*args, points, **kw)
+    for pt, row in zip(points, together):
+        alone = check_stochastic_representation(*args, [pt], **kw)[0]
+        for key in ("ratio", "stderr", "nonhit"):
+            assert row[key] == alone[key], key
+    assert together[1]["ratio"] == 1.0  # inside R: no paths run
+
+
+def test_stepper_evaluates_only_moving_paths(ou_uncontrolled):
+    # a counting cost sees one row per moving path-step: a path moves until
+    # its hit, or through every step when it never hits
+    R = 1.0
+    seen = []
+
+    def cost(x, u):
+        x = np.asarray(x, dtype=float)
+        assert np.all(np.linalg.norm(x, axis=-1) > R)  # no frozen row
+        seen.append(x.shape[0])
+        return ou_uncontrolled.cost(x, u)
+
+    counted = dataclasses.replace(ou_uncontrolled, cost=cost)
+    cfg = SimulationConfig(dt=1e-2, horizon=1.0, n_paths=300, seed=4, x0=[0.0])
+    starts = np.array([[2.0], [-3.0]])
+    paths = _euler_maruyama(counted, lambda x: np.zeros(1), cfg, starts, stop_radius=R)
+    hit = paths.hit
+    assert 0 < np.isnan(hit).sum() < hit.size
+    steps = np.where(np.isnan(hit), cfg.n_steps, np.rint(hit / cfg.dt))
+    assert sum(seen) == int(steps.sum())
+    assert sum(seen) < hit.size * len(seen)
+    # each start's block reproduces the single-start run bit for bit
+    for b, x0 in enumerate(starts):
+        alone = _euler_maruyama(ou_uncontrolled, lambda x: np.zeros(1), cfg, x0, stop_radius=R)
+        mine = slice(b * cfg.n_paths, (b + 1) * cfg.n_paths)
+        for got, want in zip(paths, alone):
+            if want is not None:
+                assert np.array_equal(got[mine], want, equal_nan=True)
+
+
+def test_one_control_markov_policy_makes_no_lookup(ou_uncontrolled, grid_241, monkeypatch):
+    cfg = SimulationConfig(dt=0.01, horizon=1.0, n_paths=64, seed=9, x0=[0.5])
+    plain = simulate(ou_uncontrolled, None, cfg, grid=grid_241).digest()
+
+    def no_lookup(self, x):
+        raise AssertionError("nearest_node called for a one-control policy")
+
+    monkeypatch.setattr(Grid, "nearest_node", no_lookup)
+    pol = MarkovPolicy.constant(0, grid_241.n_nodes)
+    assert simulate(ou_uncontrolled, pol, cfg, grid=grid_241).digest() == plain
