@@ -8,8 +8,15 @@ the risk-sensitive value of the fixed policy on the truncated chain.
 We compute it by shifted inverse power iteration, one sparse LU per shift:
 with shift s above the eigenvalue, (sI - A) is a nonsingular M-matrix, so
 every solve maps positive vectors to positive vectors and the iteration
-converges geometrically.  The returned bracket is the Collatz-Wielandt
-enclosure
+converges geometrically.  Every symmetric permutation of a nonsingular
+M-matrix is one too, and Gaussian elimination on it needs no pivoting: the
+pivots stay positive and the elimination is stable (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2002, ch. 9).  The LU therefore uses a
+fill-reducing minimum-degree ordering of the pattern of A + A' (A's pattern
+is structurally symmetric on nearest-neighbour grids), applied to rows and
+columns alike, with pivoting off.  A positive start vector, such as the
+previous Howard step's eigenfunction, replaces psi = 1.  The returned
+bracket is the Collatz-Wielandt enclosure
 
     min_i (A psi)_i / psi_i  <=  lambda  <=  max_i (A psi)_i / psi_i,
 
@@ -92,8 +99,8 @@ def _edges(Q, r_vec):
 def bracket_floor(Q, r_vec) -> float:
     """Rounding floor 8 eps max_i sum_j |A_ij| of the Collatz-Wielandt width of
     A = Q + diag(r_vec).  Measured stalls lie at 0.3-7.6 eps max_i sum_j |A_ij|
-    on 1D chains of up to 7681 nodes and small dense chains; eigenvectors of
-    wide dynamic range stall higher."""
+    on 1D chains of up to 7681 nodes and small dense chains; the 3D W network
+    reaches the floor on 11^3 and 15^3 grids."""
     return _edges(Q, r_vec)[-1]
 
 
@@ -104,8 +111,16 @@ def principal_eigenpair(
     max_iter: int = 500,
     origin_node: int = 0,
     grid: Optional[Grid] = None,
+    start: Optional[np.ndarray] = None,
 ) -> Eigenpair:
     """Perron pair of A = Q + diag(r_vec) by sparse shifted inverse power iteration.
+
+    Each shift s factors sI - A by ``splu`` with the MMD_AT_PLUS_A ordering
+    in symmetric mode and no pivoting.  Every shift is a CW upper bound of
+    the current iterate (at first the start vector) plus a positive pad, so
+    s > lambda and sI - A is a nonsingular M-matrix: the elimination exists
+    without pivoting, with positive pivots.  A factor that fails anyway
+    (``RuntimeError``) backs the shift off like a non-positive solve does.
 
     Args:
         Q: GeneratorMatrix or sparse rate matrix (row sums fold into r).
@@ -113,13 +128,26 @@ def principal_eigenpair(
         tol: bracket width required on exit, at least ``bracket_floor``.
         max_iter: iteration budget.
         origin_node: node at which the eigenvector is normalized to 1.
+        start: positive finite vector to iterate from in place of psi = 1;
+            the CW bracket certifies any positive vector, so a start changes
+            the iteration count only.
 
     Raises:
+        ValueError: on a start vector of the wrong length, with a non-finite
+        or a non-positive entry.
         EigenSolveError: at once on a tolerance below the floor, reducible Q
         or non-finite data; after max_iter iterations on non-convergence.
     """
     m, rows, cols, rates, r, floor = _edges(Q, r_vec)
     n = r.size
+    if start is None:
+        psi = np.ones(n)
+    else:
+        psi = np.array(start, dtype=float)
+        if psi.shape != (n,):
+            raise ValueError(f"start has shape {psi.shape}, expected ({n},)")
+        if not (np.all(np.isfinite(psi)) and psi.min() > 0.0):
+            raise ValueError("start must be finite and positive")
     if not np.all(np.isfinite(r)):
         raise EigenSolveError("r_vec contains non-finite entries")
     if tol < floor:
@@ -136,7 +164,6 @@ def principal_eigenpair(
     M = sp.csc_matrix((entries.copy(), i[order], indptr), shape=(n, n))
 
     pad = max(1.0, 1e-2 * float(np.max(np.abs(r))))
-    psi = np.ones(n)
 
     def ratios(v):
         return r + np.bincount(rows, rates * (v[cols] - v[rows]), n) / v
@@ -151,14 +178,23 @@ def principal_eigenpair(
     for it in range(1, max_iter + 1):
         if solver is None:
             M.data[diag] = entries[diag] + shift
-            solver = spla.splu(M)
-        new = solver.solve(psi)
-        ok = np.isfinite(new).all() and new[origin_node] != 0.0
+            try:
+                solver = spla.splu(
+                    M,
+                    permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True},
+                )
+            except RuntimeError:
+                pass  # a failed factor (zero pivot) backs off below
+        new = None if solver is None else solver.solve(psi)
+        ok = new is not None and np.isfinite(new).all() and new[origin_node] != 0.0
         if ok:
             new = new / new[origin_node]
             ok = new.min() > 0.0
         if not ok:
-            # shift drifted too close to the eigenvalue; back off and refactor
+            # shift drifted too close to the eigenvalue or the factor failed;
+            # back off and refactor
             backoff *= 2.0
             shift = up + backoff
             solver = None

@@ -150,6 +150,11 @@ def solve_hjb(
         eig_tol: bracket tolerance for the inner eigensolves (default tol/10,
             raised to each policy's ``bracket_floor``; below it, they raise).
 
+    From step 2 on, each eigensolve starts from the previous step's V: the
+    improved policy moves the eigenfunction little, so the inner iteration
+    starts close to its fixed point.  The CW bracket certifies any positive
+    start, so the warm start changes iteration counts, not the gates.
+
     Raises:
         HjbError: if the iteration budget is exhausted.  A repeated policy
         with unchanged value is accepted with a warning (argmin tie cycling).
@@ -168,12 +173,13 @@ def solve_hjb(
     history = []
     seen = {}
     prev_value = np.inf
+    V = None
 
     for it in range(1, max_iter + 1):
         Q, r = kernel.assemble_policy(policy, b_all), policy.pick(r_all)
         inner_tol = eig_tol if eig_tol is not None else max(0.1 * tol, bracket_floor(Q, r))
         pair = principal_eigenpair(
-            Q, r, tol=inner_tol, max_iter=1000, origin_node=grid.origin_node, grid=grid
+            Q, r, tol=inner_tol, max_iter=1000, origin_node=grid.origin_node, grid=grid, start=V
         )
         lam, V = pair.value, pair.vector
         history.append(lam)

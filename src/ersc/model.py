@@ -243,11 +243,10 @@ def builtin_ou_lq(
         return np.array([[sig]])
 
     def cost(x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return 0.5 * q * np.sum(x * x, axis=-1) + 0.5 * c * np.sum(
-            np.broadcast_to(u, np.shape(x)) ** 2, axis=-1
-        )
+        # scalar state and control: x.x and u.u are the squares of the one column
+        x = np.asarray(x, dtype=float)[..., 0]
+        u = np.asarray(u, dtype=float)[..., 0]
+        return 0.5 * q * (x * x) + 0.5 * c * (u * u)
 
     return DiffusionModel(
         dim=1,

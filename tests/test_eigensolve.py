@@ -140,10 +140,14 @@ def test_foster_certificate_zero_scale(ou_uncontrolled, grid_241):
     assert np.allclose(cert.eigenpair.vector, 1.0, atol=1e-8)
 
 
+def _ou_chain(model, grid):
+    kernel = OperatorKernel(model, grid)
+    Q = kernel.assemble(model.drift_table(kernel.coords)[0])
+    return Q, model.cost_table(kernel.coords)[0]
+
+
 def test_tolerance_below_rounding_floor_raises_at_once(ou_uncontrolled, grid_241, monkeypatch):
-    kernel = OperatorKernel(ou_uncontrolled, grid_241)
-    Q = kernel.assemble(ou_uncontrolled.drift_table(kernel.coords)[0])
-    r = ou_uncontrolled.cost_table(kernel.coords)[0]
+    Q, r = _ou_chain(ou_uncontrolled, grid_241)
     floor = bracket_floor(Q, r)
     row_sums = np.abs(Q.matrix.toarray() + np.diag(r)).sum(axis=1)
     assert np.isclose(floor, 8.0 * np.finfo(float).eps * row_sums.max(), rtol=1e-12)
@@ -173,3 +177,64 @@ def test_small_kappa_lq_bracket_is_edge_difference_ratio(lq_model):
     ratios = (rows + pol.pick(sol.cost_table) * V) / V
     assert abs(sol.eigenpair.cw_lower - ratios.min()) <= 1e-15
     assert abs(sol.eigenpair.cw_upper - ratios.max()) <= 1e-15
+
+
+def test_w_network_converges_below_old_stall(w_network):
+    # COLAMD with partial pivoting stalled near 5.8e-10 on this chain and
+    # MMD with pivoting near 9e-12; the no-pivot M-matrix elimination
+    # reaches 2.6e-13 (floor 2.8e-13) in 65 iterations
+    grid = build_grid([4.0] * 3, [15] * 3)
+    pol = MarkovPolicy.constant(0, grid.n_nodes)
+    loose = policy_value(w_network, grid, pol, tol=1e-9)
+    tight = policy_value(w_network, grid, pol, tol=1e-12)
+    assert tight.bracket_width <= 1e-12
+    assert loose.cw_lower <= tight.cw_lower <= tight.cw_upper <= loose.cw_upper
+
+
+def test_failed_factorization_backs_off(ou_uncontrolled, grid_241, monkeypatch):
+    Q, r = _ou_chain(ou_uncontrolled, grid_241)
+    origin = grid_241.origin_node
+    plain = principal_eigenpair(Q, r, tol=1e-10, origin_node=origin)
+    orig, calls = spla.splu, []
+
+    def fail_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("Factor is exactly singular")
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", fail_once)
+    pair = principal_eigenpair(Q, r, tol=1e-10, origin_node=origin)
+    assert len(calls) >= 2
+    # the retry runs at a larger shift, so the iterates differ in rounding
+    # only: both are certified to the same eigenvalue
+    assert pair.bracket_width <= 1e-10
+    assert max(pair.cw_lower, plain.cw_lower) <= min(pair.cw_upper, plain.cw_upper)
+    assert np.allclose(pair.vector, plain.vector, rtol=1e-8, atol=0.0)
+
+
+def test_start_vector_validated_before_factorization(ou_uncontrolled, grid_241, monkeypatch):
+    Q, r = _ou_chain(ou_uncontrolled, grid_241)
+    n = grid_241.n_nodes
+
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("factorized before checking the start vector")
+
+    monkeypatch.setattr(spla, "splu", no_factorization)
+    bad = [np.ones(n - 1), np.ones((n, 1)), np.full(n, np.nan), np.full(n, np.inf)]
+    bad += [np.where(np.arange(n) == 7, v, 1.0) for v in (0.0, -1.0)]
+    for start in bad:
+        with pytest.raises(ValueError):
+            principal_eigenpair(Q, r, tol=1e-10, start=start)
+
+
+def test_start_from_converged_vector(ou_uncontrolled, grid_241):
+    Q, r = _ou_chain(ou_uncontrolled, grid_241)
+    origin = grid_241.origin_node
+    cold = principal_eigenpair(Q, r, tol=1e-10, origin_node=origin)
+    warm = principal_eigenpair(Q, r, tol=1e-10, origin_node=origin, start=cold.vector)
+    assert warm.iterations <= 2
+    assert warm.bracket_width <= 1e-10
+    assert warm.cw_lower <= warm.value <= warm.cw_upper
+    assert abs(warm.value - cold.value) <= 1e-10
+    assert warm.vector[origin] == 1.0

@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from ersc.discretize import OperatorKernel, build_grid
 from ersc.eigensolve import policy_value
@@ -13,6 +14,7 @@ from ersc.hjb import (
 from ersc.model import builtin_ou_lq
 
 P_RICCATI = 2.0 - np.sqrt(2.0)  # root of P^2/4 - P + 1/2 = 0
+W15_VALUE = 5.699585487809  # W network on 15^3, radius 4, tol 1e-7
 
 
 def brute_force_value(model, grid, tol=0.0):
@@ -164,3 +166,18 @@ def test_value_gradient_field_odd_symmetry(ou_uncontrolled, grid_241):
     sol = solve_hjb(ou_uncontrolled, grid_241, tol=1e-9)
     omega = value_gradient_field(sol, grid_241).ravel()
     assert np.max(np.abs(omega + omega[::-1])) <= 1e-8
+
+
+def test_w_network_factorization_count(w_network, monkeypatch):
+    orig, calls = spla.splu, []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    sol = solve_hjb(w_network, build_grid([4.0] * 3, [15] * 3), tol=1e-7)
+    assert len(calls) <= 8
+    assert set(calls) == {"MMD_AT_PLUS_A"}
+    assert abs(sol.value - W15_VALUE) <= 1e-8
+    assert len(sol.history) == 3
