@@ -11,8 +11,8 @@ differences; mixed derivatives use the sign-aware corner splitting, which
 fails loudly when it cannot keep off-diagonals nonnegative.  First-order
 terms are differenced per the ``scheme`` argument:
 
-    "hybrid"  central where the diffusion dominates the cell drift
-              (second-order, still monotone), upwind elsewhere;
+    "hybrid"  central where the diffusion strictly dominates the cell drift
+              (second-order, no rate vanishes), upwind elsewhere;
     "upwind"  one-sided on the sign of b_i (first-order, always monotone);
     "central" central everywhere, raising if monotonicity fails.
 
@@ -137,8 +137,6 @@ class GeneratorMatrix:
     """Sparse rate matrix of the discretized generator for one control choice."""
 
     matrix: sp.csr_matrix
-    control: str = ""
-    boundary_policy: str = "reflecting"
 
     @property
     def n(self) -> int:
@@ -266,7 +264,7 @@ class OperatorKernel:
         elif self.scheme == "central":
             central = np.ones_like(b, dtype=bool)
         else:
-            central = np.abs(b) <= 2.0 * self.h * self.q_ax
+            central = np.abs(b) < 2.0 * self.h * self.q_ax
         plus = np.where(central, b / (2.0 * self.h), np.maximum(b, 0.0) / self.h)
         minus = np.where(central, -b / (2.0 * self.h), np.maximum(-b, 0.0) / self.h)
         if self.scheme == "central":
@@ -311,7 +309,7 @@ class OperatorKernel:
 
     # -- sparse assembly ------------------------------------------------------
 
-    def assemble(self, b_vals: np.ndarray, control_tag: str = "") -> GeneratorMatrix:
+    def assemble(self, b_vals: np.ndarray) -> GeneratorMatrix:
         """Assemble the sparse generator for the drift field ``b_vals``."""
         minus, plus = self.drift_rates(b_vals)
         rows, cols, vals = [], [], []
@@ -333,7 +331,7 @@ class OperatorKernel:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.n, self.n),
         ).tocsr()
-        return GeneratorMatrix(matrix=mat, control=control_tag)
+        return GeneratorMatrix(matrix=mat)
 
     def assemble_policy(
         self, policy, b_all: np.ndarray, aux_drift: Optional[np.ndarray] = None
@@ -348,14 +346,14 @@ class OperatorKernel:
         if aux_drift is not None:
             b_all = b_all + np.reshape(aux_drift, (self.n, self.dim))
         if not policy.is_relaxed:
-            return self.assemble(policy.pick(b_all), control_tag=policy.tag)
+            return self.assemble(policy.pick(b_all))
         weights = policy.weight_matrix(len(b_all))
         mix = [
             sp.diags(wj) @ self.assemble(b).matrix
             for wj, b in zip(weights.T, b_all)
             if np.any(wj)
         ]
-        return GeneratorMatrix(matrix=sum(mix[1:], mix[0]).tocsr(), control=policy.tag)
+        return GeneratorMatrix(matrix=sum(mix[1:], mix[0]).tocsr())
 
 
 def assemble_generator(model, grid: Grid, u, scheme: str = "hybrid") -> GeneratorMatrix:
@@ -363,8 +361,7 @@ def assemble_generator(model, grid: Grid, u, scheme: str = "hybrid") -> Generato
     if grid.dim != model.dim:
         raise ValueError("grid dimension does not match model dimension")
     kernel = OperatorKernel(model, grid, scheme)
-    b = model.drift(kernel.coords, np.asarray(u, dtype=float))
-    return kernel.assemble(b, control_tag=np.array2string(np.atleast_1d(np.asarray(u))))
+    return kernel.assemble(model.drift(kernel.coords, np.asarray(u, dtype=float)))
 
 
 def assemble_policy_generator(

@@ -14,9 +14,10 @@ pivots stay positive and the elimination is stable (Higham, *Accuracy and
 Stability of Numerical Algorithms*, 2002, ch. 9).  The LU therefore uses a
 fill-reducing minimum-degree ordering of the pattern of A + A' (A's pattern
 is structurally symmetric on nearest-neighbour grids), applied to rows and
-columns alike, with pivoting off.  A positive start vector, such as the
-previous Howard step's eigenfunction, replaces psi = 1.  The returned
-bracket is the Collatz-Wielandt enclosure
+columns alike, with pivoting off; ``game.solve_poisson`` factors its M-matrix
+the same way.  A positive start vector, such as the previous Howard step's
+eigenfunction, replaces psi = 1.  The returned bracket is the Collatz-Wielandt
+enclosure
 
     min_i (A psi)_i / psi_i  <=  lambda  <=  max_i (A psi)_i / psi_i,
 
@@ -96,6 +97,13 @@ def _edges(Q, r_vec):
     return m, rows, cols, rates, r, 8.0 * np.finfo(float).eps * float(np.max(row_abs))
 
 
+def _factor_m_matrix(M):
+    """Pivot-free MMD LU of a nonsingular CSC M-matrix (module docstring)."""
+    return spla.splu(
+        M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+    )
+
+
 def bracket_floor(Q, r_vec) -> float:
     """Rounding floor 8 eps max_i sum_j |A_ij| of the Collatz-Wielandt width of
     A = Q + diag(r_vec).  Measured stalls lie at 0.3-7.6 eps max_i sum_j |A_ij|
@@ -115,12 +123,12 @@ def principal_eigenpair(
 ) -> Eigenpair:
     """Perron pair of A = Q + diag(r_vec) by sparse shifted inverse power iteration.
 
-    Each shift s factors sI - A by ``splu`` with the MMD_AT_PLUS_A ordering
-    in symmetric mode and no pivoting.  Every shift is a CW upper bound of
-    the current iterate (at first the start vector) plus a positive pad, so
-    s > lambda and sI - A is a nonsingular M-matrix: the elimination exists
-    without pivoting, with positive pivots.  A factor that fails anyway
-    (``RuntimeError``) backs the shift off like a non-positive solve does.
+    Each shift s factors sI - A by ``_factor_m_matrix``.  Every shift is a
+    CW upper bound of the current iterate (at first the start vector) plus a
+    positive pad, so s > lambda and sI - A is a nonsingular M-matrix: the
+    elimination exists without pivoting, with positive pivots.  A factor that
+    fails anyway (``RuntimeError``) backs the shift off like a non-positive
+    solve does.
 
     Args:
         Q: GeneratorMatrix or sparse rate matrix (row sums fold into r).
@@ -179,12 +187,7 @@ def principal_eigenpair(
         if solver is None:
             M.data[diag] = entries[diag] + shift
             try:
-                solver = spla.splu(
-                    M,
-                    permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True},
-                )
+                solver = _factor_m_matrix(M)
             except RuntimeError:
                 pass  # a failed factor (zero pivot) backs off below
         new = None if solver is None else solver.solve(psi)
@@ -237,7 +240,6 @@ def policy_value(
     cost_fn=None,
     cost_scale: float = 1.0,
     scheme: str = "hybrid",
-    kernel: Optional[OperatorKernel] = None,
 ) -> Eigenpair:
     """Risk-sensitive value of a fixed stationary Markov policy.
 
@@ -245,8 +247,7 @@ def policy_value(
     Q^v + diag(cost_scale * r^v).  ``cost_fn`` substitutes a different running
     cost (perturbed or scaled variants) with the same policy.
     """
-    if kernel is None:
-        kernel = OperatorKernel(model, grid, scheme)
+    kernel = OperatorKernel(model, grid, scheme)
     Q = kernel.assemble_policy(policy, model.drift_table(kernel.coords))
     r = cost_scale * policy.pick(model.cost_table(kernel.coords, cost_fn))
     return principal_eigenpair(
@@ -274,13 +275,11 @@ def foster_lyapunov_certificate(
     """
     if scale < 0:
         raise ValueError("scale must be nonnegative")
-    kernel = OperatorKernel(model, grid, scheme)
-    Q = kernel.assemble_policy(policy, model.drift_table(kernel.coords))
-    hv = policy.pick(model.cost_table(kernel.coords, h_fn))
-    pair = principal_eigenpair(
-        Q, scale * hv, tol=tol, max_iter=max_iter, origin_node=grid.origin_node, grid=grid
+    pair = policy_value(
+        model, grid, policy, tol, max_iter, cost_fn=h_fn, cost_scale=scale, scheme=scheme
     )
-    outside = np.linalg.norm(kernel.coords, axis=1) > core_radius
+    hv = policy.pick(model.cost_table(grid.coords(), h_fn))
+    outside = np.linalg.norm(grid.coords(), axis=1) > core_radius
     if not np.any(outside):
         warnings.warn("core ball covers the whole grid; drift margin undefined")
         margin = float("nan")

@@ -9,7 +9,8 @@ and collects payoff (r ^ L*) - |chi_l w|^2 / 2, with w confined to the ball
 of radius l and switched off outside B_l by the radial cutoff chi_l.  Because
 the payoff couples u and w additively, the minimax and maximin of the
 discrete Isaacs equation coincide, and alternating Howard updates on the
-average-cost Poisson equation converge to the saddle point.
+average-cost Poisson equation converge to the saddle point.  ``solve_poisson``
+solves it in renewal form on the pivot-free M-matrix LU of ``eigensolve``.
 
 The w-maximization is available in closed form (quadratic penalty against a
 linear reward over a ball); the cutoff is folded in exactly by the
@@ -31,9 +32,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import breadth_first_order
 
 from .discretize import Grid, OperatorKernel
+from .eigensolve import _factor_m_matrix
 from .hjb import MarkovPolicy
 from .model import sigma_t_times, sigma_times
 from .perturb import perturbed_cost
@@ -135,26 +137,28 @@ def inner_max_w(g, l: float):
 
 
 def solve_poisson(G, f: np.ndarray, origin_node: int):
-    """Average-cost Poisson equation G Psi + f = rho on a unichain generator.
-
-    Solved as one augmented sparse system with the normalization
-    Psi(origin) = 0, which pins the bias uniquely.
-    Returns (rho, Psi).
+    """Average-cost Poisson equation G Psi + f = rho, Psi(origin) = 0, in
+    renewal form; returns (rho, Psi).  Without the origin row and column,
+    T = -G is a nonsingular M-matrix, as every node must reach the origin
+    (else GameSolveError, for a transient origin too: grid chains are
+    irreducible).  One pivot-free LU gives [a, b] = T^-1 [f', 1], b the mean
+    hitting times of the origin; rho = (G_o a + f_o) / (1 + G_o b), Psi = a - rho b.
     """
-    Gm = G.matrix if hasattr(G, "matrix") else sp.csr_matrix(G)
+    Gm = sp.csr_matrix(getattr(G, "matrix", G))
     n = Gm.shape[0]
     f = np.asarray(f, dtype=float).ravel()
-    ones = -np.ones((n, 1))
-    norm_row = sp.coo_matrix((np.ones(1), ([0], [origin_node])), shape=(1, n))
-    M = sp.bmat([[Gm, sp.csc_matrix(ones)], [norm_row, None]], format="csc")
-    rhs = np.concatenate([-f, [0.0]])
-    try:
-        sol = spla.splu(M).solve(rhs)
-    except RuntimeError as exc:  # singular factorization: reducible chain
-        raise GameSolveError(f"Poisson solve failed: {exc}") from exc
-    if not np.all(np.isfinite(sol)):
+    reached = breadth_first_order((Gm != 0).T, origin_node, return_predecessors=False)
+    if reached.size < n:
+        raise GameSolveError(f"{n - reached.size} of {n} nodes do not reach the origin node")
+    rest = np.delete(np.arange(n), origin_node)
+    lu = _factor_m_matrix(-Gm[rest][:, rest].tocsc())
+    ab = lu.solve(np.column_stack([f[rest], np.ones(n - 1)]))
+    a_o, b_o = (Gm[origin_node][:, rest] @ ab).ravel()
+    rho = float((a_o + f[origin_node]) / (1.0 + b_o))
+    psi = np.insert(ab[:, 0] - rho * ab[:, 1], origin_node, 0.0)
+    if not np.all(np.isfinite(psi)):
         raise GameSolveError("Poisson solve returned non-finite values")
-    return float(sol[n]), sol[:n]
+    return rho, psi
 
 
 class _GameIteration:

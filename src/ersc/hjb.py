@@ -10,7 +10,6 @@ a fixed point of the discrete HJB operator.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -156,8 +155,9 @@ def solve_hjb(
     start, so the warm start changes iteration counts, not the gates.
 
     Raises:
-        HjbError: if the iteration budget is exhausted.  A repeated policy
-        with unchanged value is accepted with a warning (argmin tie cycling).
+        HjbError: if the iteration budget is exhausted, or at once when the
+        improved policy repeats one of unchanged value with the residual or
+        the value decrease still at or above tol (argmin tie cycling).
     """
     kernel = OperatorKernel(model, grid, scheme)
     r_all = cost_scale * model.cost_table(kernel.coords, cost_fn)
@@ -189,15 +189,7 @@ def solve_hjb(
         residual = float(np.max(np.abs(best - lam * V) / V))
         improved = MarkovPolicy(np.argmin(rows, axis=0), tag=f"howard[{it}]")
 
-        converged = (prev_value - lam) < tol and residual < tol
-        key = improved.assignment.tobytes()
-        if not converged and key in seen and abs(seen[key] - lam) <= tol:
-            warnings.warn(
-                "policy iteration revisited a policy with unchanged value; "
-                "accepting the current fixed point (argmin ties)"
-            )
-            converged = True
-        if converged:
+        if (prev_value - lam) < tol and residual < tol:
             return HjbSolution(
                 value=lam,
                 V=V,
@@ -209,6 +201,11 @@ def solve_hjb(
                 grid=grid,
                 scheme=scheme,
                 cost_table=r_all,
+            )
+        if abs(seen.get(improved.assignment.tobytes(), np.inf) - lam) <= tol:
+            raise HjbError(
+                f"policy iteration revisited a policy with unchanged value at "
+                f"residual {residual:g} (tol {tol:g})"
             )
         seen[policy.assignment.tobytes()] = lam
         policy = improved

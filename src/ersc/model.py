@@ -61,11 +61,13 @@ class ControlSet:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.shape[0] == 0:
             raise ModelError("control set must be non-empty")
-        # pairwise distinct
-        for i in range(pts.shape[0]):
-            for j in range(i + 1, pts.shape[0]):
-                if np.allclose(pts[i], pts[j], rtol=0.0, atol=0.0):
-                    raise ModelError(f"duplicate control points at {i} and {j}")
+        # pairwise distinct (exact ==): equal rows are neighbours after a stable
+        # sort, in index order, so the least first index names the least pair
+        order = np.lexsort(pts.T[::-1])
+        same = np.flatnonzero(np.all(pts[order[1:]] == pts[order[:-1]], axis=1))
+        if same.size:
+            k = same[np.argmin(order[same])]
+            raise ModelError(f"duplicate control points at {order[k]} and {order[k + 1]}")
         object.__setattr__(self, "points", pts)
 
     @property

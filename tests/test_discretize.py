@@ -8,6 +8,7 @@ from ersc.discretize import (
     assemble_policy_generator,
     build_grid,
 )
+from ersc.eigensolve import policy_value
 from ersc.hjb import MarkovPolicy
 from ersc.model import ControlSet, DiffusionModel, builtin_ou_lq
 
@@ -91,6 +92,27 @@ def test_hybrid_falls_back_to_upwind():
     assert np.max(np.abs(gm.row_sums())) <= 1e-12
     with pytest.raises(GridSchemeError):
         assemble_generator(m, g, m.controls.points[0], scheme="central")
+
+
+def test_hybrid_tie_keeps_every_edge(ou_uncontrolled):
+    # h = 0.5 puts |b| = 2 h q_ax at x = +-2; central differencing there
+    # zeroes one drift rate and cuts the chain
+    grid = build_grid([3.0], [13])
+    kernel = OperatorKernel(ou_uncontrolled, grid)
+    b = ou_uncontrolled.drift_table(kernel.coords)
+    assert np.count_nonzero(np.abs(b) == 2.0 * kernel.h * kernel.q_ax) == 2
+    pair = policy_value(ou_uncontrolled, grid, MarkovPolicy.constant(0, grid.n_nodes))
+    assert abs(pair.value - 0.272950712095156) <= 1e-10
+
+
+def test_hybrid_tie_keeps_w_network_irreducible(w_network):
+    # radius 5 on 26^3 (h = 0.4) has 3046 ties; four of the six controls'
+    # generators were reducible when ties took central differences
+    grid = build_grid([5.0] * 3, [26] * 3)
+    kernel = OperatorKernel(w_network, grid)
+    b_all = w_network.drift_table(kernel.coords)
+    assert np.any(np.abs(b_all) == 2.0 * kernel.h * kernel.q_ax)
+    assert all(kernel.assemble(b).is_irreducible() for b in b_all)
 
 
 def test_generator_invariants_random_models():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ersc import game
 from ersc.discretize import assemble_policy_generator, build_grid
@@ -60,13 +62,76 @@ def test_radial_cutoff_plateaus():
 
 
 def test_poisson_two_state():
-    import scipy.sparse as sp
-
     Q = sp.csr_matrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
     rho, psi = solve_poisson(Q, np.array([0.0, 1.0]), origin_node=0)
     # stationary law is uniform, so the average cost is 1/2
     assert np.isclose(rho, 0.5)
     assert psi[0] == 0.0
+
+
+def _bordered_poisson(G, f, origin):
+    """Dense solve of [[G, -1], [e_origin', 0]] [Psi; rho] = [-f; 0]."""
+    n = G.shape[0]
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = G.toarray()
+    M[:n, n] = -1.0
+    M[n, origin] = 1.0
+    sol = np.linalg.solve(M, np.concatenate([-f, [0.0]]))
+    return sol[n], sol[:n]
+
+
+def test_poisson_matches_bordered_system(lq_model, w_network):
+    lq_grid, w_grid = build_grid([6.0], [121]), build_grid([4.0] * 3, [11] * 3)
+    cases = []
+    for model, grid, aux in (
+        (lq_model, lq_grid, 0.5 * np.sin(lq_grid.coords())),
+        (w_network, w_grid, None),
+    ):
+        cost = model.cost_table(grid.coords())
+        myopic = MarkovPolicy(np.argmin(cost, axis=0))
+        G = assemble_policy_generator(model, grid, myopic, aux_drift=aux).matrix
+        cases.append((G, myopic.pick(cost), grid.origin_node))
+    for G, f, origin in cases:
+        rho, psi = solve_poisson(G, f, origin)
+        rho_ref, psi_ref = _bordered_poisson(G, f, origin)
+        assert abs(rho - rho_ref) <= 1e-12
+        assert np.max(np.abs(psi - psi_ref)) <= 1e-10
+        assert psi[origin] == 0.0
+
+
+def test_poisson_needs_every_node_to_reach_the_origin():
+    Q = sp.csr_matrix(np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 1.0, -1.0]]))
+    f = np.array([0.0, 1.0, 2.0])
+    # {1, 2} is closed and misses the origin 0
+    with pytest.raises(GameSolveError, match="2 of 3 nodes"):
+        solve_poisson(Q, f, origin_node=0)
+    # an explicitly stored zero rate 1 -> 0 is no edge
+    stored = sp.csr_matrix(
+        ([-1.0, 1.0, 0.0, -1.0, 1.0, 1.0, -1.0], [0, 1, 0, 1, 2, 1, 2], [0, 2, 5, 7]),
+        shape=(3, 3),
+    )
+    with pytest.raises(GameSolveError, match="2 of 3 nodes"):
+        solve_poisson(stored, f, origin_node=0)
+    # the transient node 0 reaches the recurrent origin 1
+    rho, psi = solve_poisson(Q, f, origin_node=1)
+    assert np.isclose(rho, 1.5) and psi[1] == 0.0
+    assert np.allclose(Q @ psi + f, rho)
+
+
+def test_every_factorization_is_pivot_free_mmd(lq_model, monkeypatch):
+    orig, calls = spla.splu, []
+
+    def spy(*args, **kwargs):
+        calls.append((kwargs.get("permc_spec"), kwargs.get("diag_pivot_thresh")))
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    grid = build_grid([6.0], [121])
+    solve_hjb(lq_model, grid, tol=1e-8)
+    n_hjb = len(calls)
+    solve_ergodic_game(lq_model, grid, 0.0, 2.0, default_truncation_rule(2.0))
+    assert 0 < n_hjb < len(calls)
+    assert set(calls) == {("MMD_AT_PLUS_A", 0.0)}
 
 
 def test_auxiliary_policy_invariants():

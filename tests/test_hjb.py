@@ -1,11 +1,13 @@
 import itertools
 
 import numpy as np
+import pytest
 import scipy.sparse.linalg as spla
 
 from ersc.discretize import OperatorKernel, build_grid
 from ersc.eigensolve import policy_value
 from ersc.hjb import (
+    HjbError,
     MarkovPolicy,
     check_optimality_condition,
     solve_hjb,
@@ -181,3 +183,9 @@ def test_w_network_factorization_count(w_network, monkeypatch):
     assert set(calls) == {"MMD_AT_PLUS_A"}
     assert abs(sol.value - W15_VALUE) <= 1e-8
     assert len(sol.history) == 3
+
+
+def test_repeated_policy_above_tol_raises(ou_uncontrolled, grid_241):
+    # the one control repeats with unchanged value at residual 9.8e-14
+    with pytest.raises(HjbError, match=r"residual 9\.\d+e-14 \(tol 1e-14\)"):
+        solve_hjb(ou_uncontrolled, grid_241, tol=1e-14)

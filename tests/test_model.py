@@ -51,6 +51,32 @@ def test_ou_rejects_bad_sigma():
 def test_control_set_rejects_duplicates():
     with pytest.raises(ModelError):
         ControlSet(np.array([[0.0], [0.0]]))
+    with pytest.raises(ModelError, match="at 0 and 1"):
+        ControlSet(np.array([[0.0], [-0.0]]))
+    with pytest.raises(ModelError, match="at 0 and 2"):
+        ControlSet(np.array([[1.0], [2.0], [1.0]]))
+    with pytest.raises(ModelError, match="at 0 and 4"):
+        ControlSet(np.array([[5.0, 1.0], [1.0, 2.0], [5.0, 0.0], [1.0, 2.0], [5.0, 1.0]]))
+    assert ControlSet(np.array([[np.nan], [np.nan]])).n_controls == 2
+
+
+def test_control_set_duplicate_pair_matches_pairwise_scan():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        pts = rng.integers(-2, 3, size=(int(rng.integers(2, 9)), 2)).astype(float)
+        pts *= rng.choice([-1.0, 1.0], size=pts.shape)  # 0.0 and -0.0 alike
+        pts[rng.random(pts.shape) < 0.1] = np.nan
+        pairs = [
+            (i, j)
+            for i in range(len(pts))
+            for j in range(i + 1, len(pts))
+            if np.all(pts[i] == pts[j])
+        ]
+        if pairs:
+            with pytest.raises(ModelError, match=f"at {pairs[0][0]} and {pairs[0][1]}$"):
+                ControlSet(pts)
+        else:
+            ControlSet(pts)
 
 
 def test_w_network_matrices():
