@@ -2,10 +2,12 @@
 
 Each outer step evaluates the current policy through its principal eigenpair
 and improves it by the rowwise minimizer of (Q^u V + r^u V).  Improvement can
-never raise the Perron value: the improved matrix satisfies A' V <= Lambda V
-pointwise, so its Collatz-Wielandt upper bound is at most Lambda.  The
-iteration therefore produces a non-increasing value history and terminates at
-a fixed point of the discrete HJB operator.
+never raise the certified Collatz-Wielandt upper bound ``up`` of the Perron
+value: the improved rows satisfy A' V <= A V <= up V pointwise, so the bound
+of A' at V is at most ``up``, and inverse iteration started from V never
+raises it.  The history of these upper bounds is therefore non-increasing
+(the bracket midpoint is not: it may rise by up to half a bracket), and the
+iteration terminates at a fixed point of the discrete HJB operator.
 """
 
 from __future__ import annotations
@@ -104,9 +106,11 @@ class HjbSolution:
 
     ``residual`` is the sup-norm HJB defect relative to V, i.e.
     max_i |min_u [(Q^u V)_i + r_i^u V_i] - Lambda V_i| / V_i, which keeps the
-    measure meaningful where the eigenfunction is large.  ``cost_table`` is
-    the (k, n) running-cost table the solve used, after ``cost_fn`` and
-    ``cost_scale``.
+    measure meaningful where the eigenfunction is large.  ``value`` is the
+    midpoint of the last step's Collatz-Wielandt bracket; ``history`` holds
+    each step's certified upper bound ``cw_upper``, which is non-increasing
+    (module docstring).  ``cost_table`` is the (k, n) running-cost table the
+    solve used, after ``cost_fn`` and ``cost_scale``.
     """
 
     value: float
@@ -141,8 +145,8 @@ def solve_hjb(
     Args:
         model, grid: problem instance; every control must induce an
             irreducible generator on the grid.
-        tol: stopping threshold for both the eigenvalue decrease per step and
-            the relative HJB residual.
+        tol: stopping threshold for both the decrease per step of the
+            ``history`` upper bound and the relative HJB residual.
         initial_policy: starting precise policy (defaults to the myopic
             argmin of the running cost, ties to the lowest control index).
         cost_fn, cost_scale: running-cost override / scaling.
@@ -181,15 +185,15 @@ def solve_hjb(
         pair = principal_eigenpair(
             Q, r, tol=inner_tol, max_iter=1000, origin_node=grid.origin_node, grid=grid, start=V
         )
-        lam, V = pair.value, pair.vector
-        history.append(lam)
+        lam, up, V = pair.value, pair.cw_upper, pair.vector
+        history.append(up)
 
         rows = kernel.apply(b_all, V) + r_all * V
         best = np.min(rows, axis=0)
         residual = float(np.max(np.abs(best - lam * V) / V))
         improved = MarkovPolicy(np.argmin(rows, axis=0), tag=f"howard[{it}]")
 
-        if (prev_value - lam) < tol and residual < tol:
+        if (prev_value - up) < tol and residual < tol:
             return HjbSolution(
                 value=lam,
                 V=V,
@@ -202,14 +206,14 @@ def solve_hjb(
                 scheme=scheme,
                 cost_table=r_all,
             )
-        if abs(seen.get(improved.assignment.tobytes(), np.inf) - lam) <= tol:
+        if abs(seen.get(improved.assignment.tobytes(), np.inf) - up) <= tol:
             raise HjbError(
                 f"policy iteration revisited a policy with unchanged value at "
                 f"residual {residual:g} (tol {tol:g})"
             )
-        seen[policy.assignment.tobytes()] = lam
+        seen[policy.assignment.tobytes()] = up
         policy = improved
-        prev_value = lam
+        prev_value = up
 
     raise HjbError(f"policy iteration did not converge in {max_iter} steps")
 

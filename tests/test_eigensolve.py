@@ -140,6 +140,17 @@ def test_foster_certificate_zero_scale(ou_uncontrolled, grid_241):
     assert np.allclose(cert.eigenpair.vector, 1.0, atol=1e-8)
 
 
+def test_foster_certificate_core_covering_grid_raises(ou_uncontrolled, grid_241, monkeypatch):
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("factorized before checking the core ball")
+
+    monkeypatch.setattr(spla, "splu", no_factorization)
+    pol = MarkovPolicy.constant(0, grid_241.n_nodes)
+    h = lambda x, u: 1.0 + np.sum(np.asarray(x) ** 2, axis=-1)
+    with pytest.raises(ValueError, match="covers every node"):
+        foster_lyapunov_certificate(ou_uncontrolled, grid_241, pol, h, scale=0.0625, core_radius=6.0)
+
+
 def _ou_chain(model, grid):
     kernel = OperatorKernel(model, grid)
     Q = kernel.assemble(model.drift_table(kernel.coords)[0])
@@ -238,3 +249,30 @@ def test_start_from_converged_vector(ou_uncontrolled, grid_241):
     assert warm.cw_lower <= warm.value <= warm.cw_upper
     assert abs(warm.value - cold.value) <= 1e-10
     assert warm.vector[origin] == 1.0
+
+
+def test_ou_factorization_count(ou_uncontrolled, grid_241, monkeypatch):
+    # a 1D factor costs about one solve, so every move pays and the
+    # five-solve floor sets the pace: 6 factors, as with a fixed period of five
+    Q, r = _ou_chain(ou_uncontrolled, grid_241)
+    orig, calls = spla.splu, []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    pair = principal_eigenpair(Q, r, tol=1e-10, origin_node=grid_241.origin_node)
+    assert len(calls) <= 6
+    assert pair.bracket_width <= 1e-10
+
+
+def test_refactor_rule_is_deterministic(w_network):
+    # the rule reads the factor's fill and the bracket widths, never a clock
+    grid = build_grid([4.0] * 3, [11] * 3)
+    pol = MarkovPolicy.constant(0, grid.n_nodes)
+    a, b = (policy_value(w_network, grid, pol, tol=1e-10) for _ in range(2))
+    assert (a.value, a.cw_lower, a.cw_upper, a.iterations) == (
+        b.value, b.cw_lower, b.cw_upper, b.iterations
+    )
+    assert np.array_equal(a.vector, b.vector)
