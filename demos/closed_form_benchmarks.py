@@ -61,7 +61,7 @@ def brute_force_crosscheck():
     kernel = OperatorKernel(model, grid)
     mats = []
     for u, b in zip(model.controls.points, model.drift_table(kernel.coords)):
-        Q = kernel.assemble(b).matrix.toarray()
+        Q = kernel.assemble(b).toarray()
         mats.append(Q + np.diag(np.asarray(model.cost(kernel.coords, u), dtype=float)))
     best = np.inf
     for assign in itertools.product(range(2), repeat=grid.n_nodes):

@@ -30,6 +30,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import yaml
@@ -239,8 +240,17 @@ def _family_from_cfg(cfg: dict, model: DiffusionModel, grid: Grid):
     raise ConfigError("perturb block needs either 'h' or 'hbar'")
 
 
+def _optional_float(block: dict, key: str) -> Optional[float]:
+    value = block.get(key)
+    try:
+        return None if value is None else float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"simulation.{key} must be a number: {exc}") from exc
+
+
 def _sim_config(cfg: dict, model: DiffusionModel, seed) -> SimulationConfig:
     block = _need(cfg, "simulation")
+    target_radius = _optional_float(block, "target_radius")
     try:
         return SimulationConfig(
             dt=float(block["dt"]),
@@ -251,7 +261,7 @@ def _sim_config(cfg: dict, model: DiffusionModel, seed) -> SimulationConfig:
             antithetic=bool(block.get("antithetic", False)),
             record_mem=bool(block.get("record_mem", False)),
             mem_stride=int(block.get("mem_stride", 10)),
-            target_radius=block.get("target_radius"),
+            target_radius=target_radius,
         )
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"simulation block invalid: {exc}") from exc
@@ -406,7 +416,7 @@ def _cmd_simulate(cfg, seed):
             raise ConfigError("multi-control simulation needs a grid for the policy")
         policy = _policy_from_cfg(cfg, model, grid)
     ens = simulate(model, policy, sim_cfg, grid=grid)
-    L = cfg.get("simulation", {}).get("truncation_L")
+    L = _optional_float(cfg["simulation"], "truncation_L")
     est = estimate_rsc_cost(ens, truncation_L=L)
     results = {
         "estimate": est.estimate,

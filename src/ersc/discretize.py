@@ -21,10 +21,18 @@ correlated axis pair) drives both sparse assembly and direct row-application
 to a vector, so policy-improvement sweeps and assembled matrices agree to
 rounding.  Row-application takes a stack of per-control drift fields and
 returns the rows of every control in one call.
+
+``OperatorKernel`` owns the model's per-control drift table and assembles
+plain ``scipy.sparse.csr_matrix`` generators from it.  A relaxed policy mixes
+the per-control transition rates by its weights, as in the Markov-chain
+approximation of Kushner & Dupuis (*Numerical Methods for Stochastic Control
+Problems in Continuous Time*, 2001): its rows are the weighted rows of the
+precise generators.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -34,10 +42,10 @@ from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Grid",
-    "GeneratorMatrix",
     "GridSchemeError",
     "OperatorKernel",
     "build_grid",
+    "is_irreducible",
     "assemble_generator",
     "assemble_policy_generator",
 ]
@@ -132,35 +140,10 @@ def build_grid(radii, counts, node_cap: int = 2_000_000) -> Grid:
     return Grid(radii=radii, counts=counts, spacings=spacings, axes=axes, origin_node=origin)
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """Sparse rate matrix of the discretized generator for one control choice."""
-
-    matrix: sp.csr_matrix
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=1)).ravel()
-
-    def min_offdiag(self) -> float:
-        coo = self.matrix.tocoo()
-        off = coo.data[coo.row != coo.col]
-        return float(off.min()) if off.size else 0.0
-
-    def is_irreducible(self) -> bool:
-        # every stored entry is an edge; self-loops leave strong components unchanged
-        ncomp, _ = connected_components(self.matrix, directed=True, connection="strong")
-        return ncomp == 1
-
-    def dump_coo(self, path) -> None:
-        """Write the matrix in coordinate text format: row col value."""
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{int(r)} {int(c)} {float(v)!r}\n")
+def is_irreducible(Q) -> bool:
+    """Whether the stored entries of the sparse matrix Q form one strong component
+    (self-loops leave the components unchanged)."""
+    return connected_components(Q, directed=True, connection="strong")[0] == 1
 
 
 class _Edge(NamedTuple):
@@ -183,7 +166,11 @@ class OperatorKernel:
 
     Splits the generator into a control-independent diffusion part and a
     drift part parametrized by per-node drift vectors, so a policy sweep can
-    evaluate (Q^u V) for every control without assembling matrices.
+    evaluate (Q^u V) for every control without assembling matrices.  The
+    kernel owns the (k, n, d) ``drift_table`` of every control: ``control_rows``
+    applies it and ``assemble_policy`` assembles from it, so callers pass
+    policies and auxiliary drifts, never the table.  Assembly returns a plain
+    ``scipy.sparse.csr_matrix``.
     """
 
     def __init__(self, model, grid: Grid, scheme: str = "hybrid"):
@@ -248,6 +235,11 @@ class OperatorKernel:
                 for rate, si, sj in ((pos, 1, 1), (pos, -1, -1), (neg, 1, -1), (neg, -1, 1)):
                     self.edges.append(edge([(i, si), (j, sj)], rate))
 
+    @functools.cached_property
+    def drift_table(self) -> np.ndarray:
+        """(k, n, d) drift b(x_i, u_k) of every control, computed on first use."""
+        return self.model.drift_table(self.coords)
+
     # -- drift differencing -------------------------------------------------
 
     def drift_rates(self, b_vals: np.ndarray):
@@ -307,11 +299,24 @@ class OperatorKernel:
         """(Q V) for a (n, d) drift field, or its (k, n) rows for a (k, n, d) stack."""
         return self.apply_diffusion(V) + self.apply_drift(b_vals, V)
 
+    def control_rows(self, V: np.ndarray, aux_drift: Optional[np.ndarray] = None) -> np.ndarray:
+        """(k, n) rows Q^u V of every control, with ``aux_drift`` (n, d) added
+        to each control's drift."""
+        return self.apply(self._with_aux(aux_drift), V)
+
+    def _with_aux(self, aux_drift: Optional[np.ndarray]) -> np.ndarray:
+        if aux_drift is None:
+            return self.drift_table
+        return self.drift_table + np.reshape(aux_drift, (self.n, self.dim))
+
     # -- sparse assembly ------------------------------------------------------
 
-    def assemble(self, b_vals: np.ndarray) -> GeneratorMatrix:
+    def assemble(self, b_vals: np.ndarray) -> sp.csr_matrix:
         """Assemble the sparse generator for the drift field ``b_vals``."""
-        minus, plus = self.drift_rates(b_vals)
+        return self._assemble(*self.drift_rates(b_vals))
+
+    def _assemble(self, minus: np.ndarray, plus: np.ndarray) -> sp.csr_matrix:
+        """Sparse generator from the (n, d) drift rates of ``drift_rates``."""
         rows, cols, vals = [], [], []
         diag = np.zeros(self.n)
         base = np.arange(self.n, dtype=np.int64)
@@ -327,36 +332,28 @@ class OperatorKernel:
         rows.append(base)
         cols.append(base)
         vals.append(diag)
-        mat = sp.coo_matrix(
+        return sp.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.n, self.n),
         ).tocsr()
-        return GeneratorMatrix(matrix=mat)
 
-    def assemble_policy(
-        self, policy, b_all: np.ndarray, aux_drift: Optional[np.ndarray] = None
-    ) -> GeneratorMatrix:
-        """Sparse generator under a Markov policy, from the (k, n, d) drift table.
+    def assemble_policy(self, policy, aux_drift: Optional[np.ndarray] = None) -> sp.csr_matrix:
+        """Sparse generator under a Markov policy.
 
         ``aux_drift`` (n, d) is added to every control's drift before
         differencing, so the combined operator stays monotone.  A relaxed
-        policy mixes the rows of the per-control generators by its weights;
-        mixing the drift instead differs, as upwind rates are not linear in b.
+        policy mixes the per-control drift rates by its weights, which mixes
+        the rows of the per-control generators; mixing the drift instead
+        differs, as upwind rates are not linear in b.
         """
-        if aux_drift is not None:
-            b_all = b_all + np.reshape(aux_drift, (self.n, self.dim))
+        b_all = self._with_aux(aux_drift)
         if not policy.is_relaxed:
             return self.assemble(policy.pick(b_all))
-        weights = policy.weight_matrix(len(b_all))
-        mix = [
-            sp.diags(wj) @ self.assemble(b).matrix
-            for wj, b in zip(weights.T, b_all)
-            if np.any(wj)
-        ]
-        return GeneratorMatrix(matrix=sum(mix[1:], mix[0]).tocsr())
+        minus, plus = self.drift_rates(b_all)
+        return self._assemble(policy.pick(minus), policy.pick(plus))
 
 
-def assemble_generator(model, grid: Grid, u, scheme: str = "hybrid") -> GeneratorMatrix:
+def assemble_generator(model, grid: Grid, u, scheme: str = "hybrid") -> sp.csr_matrix:
     """Generator matrix of L^u for a fixed control point u."""
     if grid.dim != model.dim:
         raise ValueError("grid dimension does not match model dimension")
@@ -366,13 +363,14 @@ def assemble_generator(model, grid: Grid, u, scheme: str = "hybrid") -> Generato
 
 def assemble_policy_generator(
     model, grid: Grid, policy, aux_drift: Optional[np.ndarray] = None, scheme: str = "hybrid"
-) -> GeneratorMatrix:
+) -> sp.csr_matrix:
     """Generator matrix under a Markov policy, optionally with an added drift field.
 
     Relaxed policies give the per-row convex combination of the precise
-    generators' rows; see ``OperatorKernel.assemble_policy``.
+    generators' rows, assembled once from the mixed drift rates; see
+    ``OperatorKernel.assemble_policy``.
     """
     if grid.dim != model.dim:
         raise ValueError("grid dimension does not match model dimension")
     kernel = OperatorKernel(model, grid, scheme)
-    return kernel.assemble_policy(policy, model.drift_table(kernel.coords), aux_drift)
+    return kernel.assemble_policy(policy, aux_drift)

@@ -49,7 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretize import GeneratorMatrix, Grid, OperatorKernel
+from .discretize import Grid, OperatorKernel, is_irreducible
 
 __all__ = [
     "Eigenpair",
@@ -97,7 +97,7 @@ class FosterCertificate:
 def _edges(Q, r_vec):
     """Q as CSR, its off-diagonal (rows, cols, rates), r_vec plus the row sums of Q
     (reading its diagonal as minus the exit rates) and the ``bracket_floor``."""
-    m = Q.matrix if isinstance(Q, GeneratorMatrix) else sp.csr_matrix(Q)
+    m = sp.csr_matrix(Q)
     r = np.asarray(r_vec, dtype=float).ravel()
     if r.shape != (m.shape[0],):
         raise ValueError("r_vec length does not match matrix size")
@@ -163,7 +163,7 @@ def principal_eigenpair(
     (module docstring).
 
     Args:
-        Q: GeneratorMatrix or sparse rate matrix (row sums fold into r).
+        Q: sparse rate matrix (row sums fold into r).
         r_vec: per-node cost values.
         tol: bracket width required on exit, at least ``bracket_floor``.
         max_iter: iteration budget.
@@ -192,7 +192,7 @@ def principal_eigenpair(
         raise EigenSolveError("r_vec contains non-finite entries")
     if tol < floor:
         raise EigenSolveError(f"bracket tolerance {tol:g} is below the rounding floor {floor:g}")
-    if not GeneratorMatrix(matrix=m).is_irreducible():
+    if not is_irreducible(m):
         raise EigenSolveError("generator is reducible; Perron pair is ill-posed")
 
     # sI - A in sorted CSC order; each shift s rewrites the diagonal s + exit_i - r_i
@@ -287,7 +287,7 @@ def policy_value(
     cost (perturbed or scaled variants) with the same policy.
     """
     kernel = OperatorKernel(model, grid, scheme)
-    Q = kernel.assemble_policy(policy, model.drift_table(kernel.coords))
+    Q = kernel.assemble_policy(policy)
     r = cost_scale * policy.pick(model.cost_table(kernel.coords, cost_fn))
     return principal_eigenpair(
         Q, r, tol=tol, max_iter=max_iter, origin_node=grid.origin_node, grid=grid

@@ -28,7 +28,7 @@ sqrt(tol), and raises GameSolveError when max_iter steps run out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -144,7 +144,7 @@ def solve_poisson(G, f: np.ndarray, origin_node: int):
     irreducible).  One pivot-free LU gives [a, b] = T^-1 [f', 1], b the mean
     hitting times of the origin; rho = (G_o a + f_o) / (1 + G_o b), Psi = a - rho b.
     """
-    Gm = sp.csr_matrix(getattr(G, "matrix", G))
+    Gm = sp.csr_matrix(G)
     n = Gm.shape[0]
     f = np.asarray(f, dtype=float).ravel()
     reached = breadth_first_order((Gm != 0).T, origin_node, return_predecessors=False)
@@ -179,7 +179,6 @@ class _GameIteration:
         self.chi = radial_cutoff(coords, self.l)
         self.sig = model.sigma(coords)
         self.rc_all = np.minimum(r_all, self.L_star)
-        self.b_all = model.drift_table(coords)
 
     def aux_drift(self, w: np.ndarray) -> np.ndarray:
         # Delta_l(x, w) = chi_l(x) Sigma(x) w(x)
@@ -189,7 +188,7 @@ class _GameIteration:
         return 0.5 * np.einsum("ni,ni->n", self.chi[:, None] * w, self.chi[:, None] * w)
 
     def evaluate(self, v: MarkovPolicy, w: np.ndarray):
-        G = self.kernel.assemble_policy(v, self.b_all, self.aux_drift(w))
+        G = self.kernel.assemble_policy(v, self.aux_drift(w))
         f = v.pick(self.rc_all) - self.penalty(w)
         return solve_poisson(G, f, self.grid.origin_node)
 
@@ -205,8 +204,8 @@ class _GameIteration:
     def improve_v(self, psi: np.ndarray, w: np.ndarray, held=None) -> np.ndarray:
         """The (k, n) rows of every control, or the (n,) row of a held policy."""
         if held is None:
-            return self.kernel.apply(self.b_all + self.aux_drift(w), psi) + self.rc_all
-        b = held.pick(self.b_all) + self.aux_drift(w)
+            return self.kernel.control_rows(psi, self.aux_drift(w)) + self.rc_all
+        b = held.pick(self.kernel.drift_table) + self.aux_drift(w)
         return self.kernel.apply(b, psi) + held.pick(self.rc_all)
 
     def solve(self, v: MarkovPolicy, tol: float, max_iter: int, hold_v: bool = False):
@@ -231,7 +230,7 @@ class _GameIteration:
             history.append(rho)
             v_prev = v
             if held is None:
-                v = MarkovPolicy(np.argmin(rows, axis=0), tag=f"game[{k}]")
+                v = MarkovPolicy(np.argmin(rows, axis=0))
             rho_new, psi = self.evaluate(v, w_new)
             w_next = self.improve_w(psi)
             rows = self.improve_v(psi, w_next, held)
@@ -284,7 +283,6 @@ def solve_ergodic_game(
     max_iter: int = 200,
     family=None,
     scheme: str = "hybrid",
-    v_init: Optional[MarkovPolicy] = None,
 ) -> GameSolution:
     """Saddle point of the truncated ergodic game by alternating Howard updates.
 
@@ -301,8 +299,7 @@ def solve_ergodic_game(
     """
     r_all = _cost_table(model, grid, epsilon, family)
     it = _GameIteration(model, grid, r_all, l, L_star, scheme)
-    v = v_init or MarkovPolicy(np.argmin(it.rc_all, axis=0), tag="myopic")
-    return it.solve(v, tol, max_iter)
+    return it.solve(MarkovPolicy(np.argmin(it.rc_all, axis=0)), tol, max_iter)
 
 
 def sup_w_fixed_policy(
@@ -337,12 +334,12 @@ def game_value_sweep(
     grid: Grid,
     epsilon: float,
     l_list: Sequence[float],
-    L_rule: Optional[Callable[[float], float]] = None,
     tol: float = 1e-9,
     family=None,
     scheme: str = "hybrid",
 ):
-    """Game values along an increasing list of drift bounds l.
+    """Game values along an increasing list of drift bounds l, each with the
+    payoff cap L* = ``default_truncation_rule(l)``.
 
     Returns a list of (l, rho_l); the sequence is non-decreasing up to solver
     tolerance and stabilizes near the optimal risk-sensitive value.
@@ -350,11 +347,11 @@ def game_value_sweep(
     l_list = list(l_list)
     if any(b <= a for a, b in zip(l_list, l_list[1:])):
         raise ValueError("l_list must be strictly increasing")
-    rule = L_rule or default_truncation_rule
 
     def value(l):
         return solve_ergodic_game(
-            model, grid, epsilon, l, rule(l), tol=tol, family=family, scheme=scheme
+            model, grid, epsilon, l, default_truncation_rule(l), tol=tol, family=family,
+            scheme=scheme,
         ).value
 
     return [(l, value(l)) for l in l_list]
@@ -377,4 +374,4 @@ def average_cost_solve(
     """
     r_all = cost_scale * model.cost_table(grid.coords(), cost_fn)
     it = _GameIteration(model, grid, r_all, 0.0, np.inf, scheme)
-    return it.solve(MarkovPolicy(np.argmin(r_all, axis=0), tag="myopic"), tol, max_iter)
+    return it.solve(MarkovPolicy(np.argmin(r_all, axis=0)), tol, max_iter)

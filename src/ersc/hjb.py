@@ -44,12 +44,13 @@ class MarkovPolicy:
     """
 
     assignment: np.ndarray
-    tag: str = ""
 
     def __post_init__(self):
         a = np.asarray(self.assignment)
         if a.ndim == 1:
             a = a.astype(np.int64)
+            if np.any(a < 0):
+                raise ValueError("control indices must be nonnegative")
         elif a.ndim == 2:
             a = a.astype(float)
             if np.any(a < -1e-12):
@@ -69,18 +70,9 @@ class MarkovPolicy:
     def n_nodes(self) -> int:
         return self.assignment.shape[0]
 
-    def weight_matrix(self, n_controls: int) -> np.ndarray:
-        if self.is_relaxed:
-            if self.assignment.shape[1] != n_controls:
-                raise ValueError("weight matrix width does not match control count")
-            return self.assignment
-        W = np.zeros((self.n_nodes, n_controls))
-        W[np.arange(self.n_nodes), self.assignment] = 1.0
-        return W
-
     @staticmethod
-    def constant(index: int, n_nodes: int, tag: str = "") -> "MarkovPolicy":
-        return MarkovPolicy(np.full(n_nodes, index, dtype=np.int64), tag or f"const[{index}]")
+    def constant(index: int, n_nodes: int) -> "MarkovPolicy":
+        return MarkovPolicy(np.full(n_nodes, index, dtype=np.int64))
 
     def pick(self, table: np.ndarray) -> np.ndarray:
         """Per-node entries of a (k, n, ...) per-control table under this policy.
@@ -90,7 +82,9 @@ class MarkovPolicy:
         """
         table = np.asarray(table)
         if self.is_relaxed:
-            return np.einsum("nk,kn...->n...", self.weight_matrix(table.shape[0]), table)
+            if self.assignment.shape[1] != table.shape[0]:
+                raise ValueError("weight matrix width does not match control count")
+            return np.einsum("nk,kn...->n...", self.assignment, table)
         return table[self.assignment, np.arange(self.n_nodes)]
 
     def control_values(self, control_points: np.ndarray) -> np.ndarray:
@@ -137,7 +131,6 @@ def solve_hjb(
     initial_policy: Optional[MarkovPolicy] = None,
     cost_fn=None,
     cost_scale: float = 1.0,
-    eig_tol: Optional[float] = None,
     scheme: str = "hybrid",
 ) -> HjbSolution:
     """Solve the multiplicative HJB equation by Howard policy iteration.
@@ -150,8 +143,9 @@ def solve_hjb(
         initial_policy: starting precise policy (defaults to the myopic
             argmin of the running cost, ties to the lowest control index).
         cost_fn, cost_scale: running-cost override / scaling.
-        eig_tol: bracket tolerance for the inner eigensolves (default tol/10,
-            raised to each policy's ``bracket_floor``; below it, they raise).
+
+    Each inner eigensolve runs to the bracket tolerance tol/10, raised to its
+    policy's ``bracket_floor``.
 
     From step 2 on, each eigensolve starts from the previous step's V: the
     improved policy moves the eigenfunction little, so the inner iteration
@@ -165,10 +159,9 @@ def solve_hjb(
     """
     kernel = OperatorKernel(model, grid, scheme)
     r_all = cost_scale * model.cost_table(kernel.coords, cost_fn)
-    b_all = model.drift_table(kernel.coords)
 
     if initial_policy is None:
-        policy = MarkovPolicy(np.argmin(r_all, axis=0), tag="myopic")
+        policy = MarkovPolicy(np.argmin(r_all, axis=0))
     else:
         policy = initial_policy
         if policy.is_relaxed:
@@ -180,18 +173,17 @@ def solve_hjb(
     V = None
 
     for it in range(1, max_iter + 1):
-        Q, r = kernel.assemble_policy(policy, b_all), policy.pick(r_all)
-        inner_tol = eig_tol if eig_tol is not None else max(0.1 * tol, bracket_floor(Q, r))
+        Q, r = kernel.assemble_policy(policy), policy.pick(r_all)
         pair = principal_eigenpair(
-            Q, r, tol=inner_tol, max_iter=1000, origin_node=grid.origin_node, grid=grid, start=V
+            Q, r, tol=max(0.1 * tol, bracket_floor(Q, r)), max_iter=1000, origin_node=grid.origin_node, grid=grid, start=V
         )
         lam, up, V = pair.value, pair.cw_upper, pair.vector
         history.append(up)
 
-        rows = kernel.apply(b_all, V) + r_all * V
+        rows = kernel.control_rows(V) + r_all * V
         best = np.min(rows, axis=0)
         residual = float(np.max(np.abs(best - lam * V) / V))
-        improved = MarkovPolicy(np.argmin(rows, axis=0), tag=f"howard[{it}]")
+        improved = MarkovPolicy(np.argmin(rows, axis=0))
 
         if (prev_value - up) < tol and residual < tol:
             return HjbSolution(
@@ -228,10 +220,9 @@ def check_optimality_condition(solution: HjbSolution, candidate: MarkovPolicy, t
     with, so ``cost_fn``/``cost_scale`` solves are checked against their own
     running cost.
     """
-    model = solution.model
-    kernel = OperatorKernel(model, solution.grid, solution.scheme)
+    kernel = OperatorKernel(solution.model, solution.grid, solution.scheme)
     V = solution.V
-    rows = kernel.apply(model.drift_table(kernel.coords), V) + solution.cost_table * V
+    rows = kernel.control_rows(V) + solution.cost_table * V
     gaps = (candidate.pick(rows) - np.min(rows, axis=0)) / V
     return gaps, bool(np.max(gaps) <= tol)
 

@@ -85,13 +85,12 @@ class RegionSpec:
 
     ``indicator(x)`` returns a boolean array (True = inside).  ``blend`` is a
     continuous surrogate equal to 1 strictly inside and 0 strictly outside,
-    transitioning over a collar of width ``collar``; it defaults to the sharp
-    indicator cast to float.
+    transitioning over a collar; it defaults to the sharp indicator cast to
+    float.
     """
 
     indicator: Callable[[np.ndarray], np.ndarray]
     blend: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    collar: float = 0.0
     description: str = ""
 
     def inside(self, x: np.ndarray) -> np.ndarray:
@@ -107,13 +106,6 @@ class RegionSpec:
         return RegionSpec(
             indicator=lambda x: np.ones(np.shape(x)[:-1], dtype=bool),
             description="all of R^d",
-        )
-
-    @staticmethod
-    def empty() -> "RegionSpec":
-        return RegionSpec(
-            indicator=lambda x: np.zeros(np.shape(x)[:-1], dtype=bool),
-            description="empty set",
         )
 
 
@@ -399,7 +391,6 @@ def builtin_w_network(
     region = RegionSpec(
         indicator=k_indicator,
         blend=k_blend,
-        collar=delta / 2.0,
         description=f"|e.x| > {delta} |x|",
     )
 
@@ -489,7 +480,6 @@ def check_assumptions(
     constants: tuple,
     sample_points: Sequence[tuple],
     fd_step: float = 1e-4,
-    hess_sym_tol: float = 1e-3,
 ) -> AssumptionReport:
     """Certify the mixed drift inequalities pointwise on user samples.
 
@@ -504,7 +494,9 @@ def check_assumptions(
 
     Raises:
         ModelError: if C3 >= 1 or a finite-difference Hessian fails its
-            two-step stability check (non-smooth candidate).
+            two-step stability check: the Hessians at steps h and h/2
+            differing, or the h/2 one asymmetric, by more than 1e-3 times
+            max(1, max |H_{h/2}|) (non-smooth candidate).
     """
     C1, C2, C3 = (float(c) for c in constants)
     if not (0 < C3 < 1):
@@ -530,7 +522,7 @@ def check_assumptions(
             scale = max(1.0, float(np.max(np.abs(H2))))
             drift_h = float(np.max(np.abs(H - H2)))
             asym = float(np.max(np.abs(H2 - H2.T)))
-            if max(drift_h, asym) > hess_sym_tol * scale:
+            if max(drift_h, asym) > 1e-3 * scale:
                 raise ModelError(
                     f"finite-difference Hessian unstable/asymmetric at x={x}: "
                     "log-Lyapunov candidate does not look twice differentiable"

@@ -116,13 +116,13 @@ def drift_class_gap(
     cfg: SimulationConfig,
     drift_family: Sequence,
     grid: Grid,
-    eig_tol: float = 1e-10,
 ) -> DriftGapReport:
     """Gap between the log-moment rate and a restricted drift-family supremum.
 
     ``drift_family`` is a finite list of (label, w_fn) candidates, each a
     vectorized feedback field x -> w.  The left side is estimated by the
-    eigenfunction-twisted estimator (low variance); the right side is the
+    eigenfunction-twisted estimator (low variance) on the policy's eigenpair,
+    solved to bracket width 1e-10; the right side is the
     best candidate's long-run average of r(Z) - |w|^2/2 under the augmented
     dynamics.  Since the family is restricted, gap >= -3 stderr is the
     certified direction; a small positive gap means the family is nearly
@@ -134,7 +134,7 @@ def drift_class_gap(
         if model.controls.n_controls != 1:
             raise ValueError("policy required when the model has several controls")
         policy = MarkovPolicy.constant(0, grid.n_nodes)
-    pair = policy_value(model, grid, policy, tol=eig_tol)
+    pair = policy_value(model, grid, policy, tol=1e-10)
     lhs, lhs_err = importance_sampled_cost(model, policy, pair, cfg, grid=grid)
 
     inner = []

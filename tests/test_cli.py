@@ -260,8 +260,19 @@ SIMULATION = {"dt": 0.01, "horizon": 0.1, "n_paths": 8, "seed": 0, "x0": [0.0]}
         ("simulate", {"simulation": dict(SIMULATION, x0=[0.0, 0.0])}),
         ("sweep-kappa", {"sweep": {"kappa": ["abc"]}}),
         ("check-assumptions", {"assumptions": dict(ASSUMPTIONS, lyap={"type": "quadratic"})}),
+        ("simulate", {"simulation": dict(SIMULATION, truncation_L="abc")}),
+        ("simulate", {"simulation": dict(SIMULATION, target_radius="abc")}),
     ],
-    ids=["zero-C1", "decreasing-l-list", "negative-l", "x0-dim", "kappa-text", "no-lyap-Q"],
+    ids=[
+        "zero-C1",
+        "decreasing-l-list",
+        "negative-l",
+        "x0-dim",
+        "kappa-text",
+        "no-lyap-Q",
+        "truncation-L-text",
+        "target-radius-text",
+    ],
 )
 def test_invalid_config_exit_code(tmp_path, capsys, command, extra):
     path = write_cfg(tmp_path, extra, base=OU_61)

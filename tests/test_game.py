@@ -89,7 +89,7 @@ def test_poisson_matches_bordered_system(lq_model, w_network):
     ):
         cost = model.cost_table(grid.coords())
         myopic = MarkovPolicy(np.argmin(cost, axis=0))
-        G = assemble_policy_generator(model, grid, myopic, aux_drift=aux).matrix
+        G = assemble_policy_generator(model, grid, myopic, aux_drift=aux)
         cases.append((G, myopic.pick(cost), grid.origin_node))
     for G, f, origin in cases:
         rho, psi = solve_poisson(G, f, origin)
@@ -252,7 +252,7 @@ def test_sup_w_stops_on_fixed_policy_residual(ou_uncontrolled):
     w[chi > 1e-12] = y[chi > 1e-12] / chi[chi > 1e-12, None]
     G = assemble_policy_generator(
         ou_uncontrolled, grid, pol, aux_drift=chi[:, None] * (w @ sig.T)
-    ).matrix
+    )
     r = np.minimum(ou_uncontrolled.cost_table(coords)[0], default_truncation_rule(8.0))
     penalty = 0.5 * np.sum((chi[:, None] * w) ** 2, axis=1)
     residual = np.max(np.abs(G @ sol.bias + r - penalty - sol.value))

@@ -26,7 +26,7 @@ def brute_force_value(model, grid, tol=0.0):
     n, k = kernel.n, model.controls.n_controls
     mats = []
     for u, b in zip(model.controls.points, model.drift_table(kernel.coords)):
-        Q = kernel.assemble(b).matrix.toarray()
+        Q = kernel.assemble(b).toarray()
         r = np.asarray(model.cost(kernel.coords, u), dtype=float)
         mats.append((Q, r))
     best = np.inf
@@ -133,6 +133,17 @@ def test_restart_stability():
         sol = solve_hjb(model, grid, tol=1e-10, initial_policy=start)
         assert abs(sol.value - ref.value) <= 1e-9
         assert np.max(np.abs(sol.V - ref.V) / ref.V) <= 1e-7
+
+
+def test_negative_control_index_raises():
+    # a negative index wrapped to the last control: policy_value of index -1
+    # on a 3-control LQ model returned control 2's value
+    m = builtin_ou_lq(a=-1.0, sigma=1.0, q=1.0, c=1.0, u_max=2.0, n_controls=3)
+    g = build_grid([2.0], [21])
+    with pytest.raises(ValueError, match="nonnegative"):
+        policy_value(m, g, MarkovPolicy(np.full(g.n_nodes, -1)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        MarkovPolicy.constant(-1, g.n_nodes)
 
 
 def test_value_gradient_field_constant():

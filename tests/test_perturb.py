@@ -25,7 +25,7 @@ def mixed_region_model():
         r = np.abs(np.asarray(x)[..., 0])
         return np.clip((r - 0.5) / 0.5, 0.0, 1.0)
 
-    region = RegionSpec(indicator=indicator, blend=blend, collar=0.5)
+    region = RegionSpec(indicator=indicator, blend=blend)
     return DiffusionModel(
         dim=1,
         drift=lambda x, u: -np.asarray(x, dtype=float),
