@@ -22,8 +22,8 @@ to a vector, so policy-improvement sweeps and assembled matrices agree to
 rounding.  Row-application takes a stack of per-control drift fields and
 returns the rows of every control in one call.
 
-``OperatorKernel`` owns the model's per-control drift table and assembles
-plain ``scipy.sparse.csr_matrix`` generators from it.  A relaxed policy mixes
+``OperatorKernel`` owns the drift rates of the model's controls and assembles
+plain ``scipy.sparse.csr_matrix`` generators from them.  A relaxed policy mixes
 the per-control transition rates by its weights, as in the Markov-chain
 approximation of Kushner & Dupuis (*Numerical Methods for Stochastic Control
 Problems in Continuous Time*, 2001): its rows are the weighted rows of the
@@ -167,10 +167,17 @@ class OperatorKernel:
     Splits the generator into a control-independent diffusion part and a
     drift part parametrized by per-node drift vectors, so a policy sweep can
     evaluate (Q^u V) for every control without assembling matrices.  The
-    kernel owns the (k, n, d) ``drift_table`` of every control: ``control_rows``
-    applies it and ``assemble_policy`` assembles from it, so callers pass
-    policies and auxiliary drifts, never the table.  Assembly returns a plain
-    ``scipy.sparse.csr_matrix``.
+    kernel owns the (minus, plus) ``control_rates`` of every control, (k, n, d)
+    each: ``control_rows`` applies them and ``assemble_policy`` assembles from
+    them, so callers pass policies and auxiliary drifts, never the table.  The
+    rates are differenced once, on first use, and the drift table they come
+    from is not kept; only the auxiliary-drift paths, which difference
+    ``drift_table + aux`` on every call, materialise it.  Assembly returns a
+    plain ``scipy.sparse.csr_matrix``.
+
+    Under ``scheme="central"`` the monotonicity check runs on the rates a
+    result uses: every control for ``control_rows`` and for a relaxed policy,
+    the picked control per node for a precise policy.
     """
 
     def __init__(self, model, grid: Grid, scheme: str = "hybrid"):
@@ -206,6 +213,8 @@ class OperatorKernel:
                 f"(x={self.coords[node]}, axis {axis}); refine the grid along that axis"
             )
         self.q_ax = np.maximum(q_ax, 0.0)
+        # hybrid switch: central differencing keeps both rates positive below it
+        self.q_ax_2h = 2.0 * self.h * self.q_ax
 
         # the stencil: axial +/- edges per axis, then the four corner edges of
         # each correlated axis pair (sign-aware splitting of A_ij)
@@ -237,8 +246,21 @@ class OperatorKernel:
 
     @functools.cached_property
     def drift_table(self) -> np.ndarray:
-        """(k, n, d) drift b(x_i, u_k) of every control, computed on first use."""
+        """(k, n, d) drift b(x_i, u_k) of every control, computed on first use.
+
+        Only the auxiliary-drift paths read it; the rows and generators of the
+        controls' own drifts come from ``control_rates``.
+        """
         return self.model.drift_table(self.coords)
+
+    @functools.cached_property
+    def control_rates(self):
+        """(minus, plus) drift rates of every control, (k, n, d) each.
+
+        Differenced once, on first use, from the model's drift table, which
+        is not kept.  Not checked for monotonicity here; see ``_checked``.
+        """
+        return self._difference(self.model.drift_table(self.coords))
 
     # -- drift differencing -------------------------------------------------
 
@@ -251,14 +273,25 @@ class OperatorKernel:
         b = np.asarray(b_vals, dtype=float)
         if b.ndim < 3:
             b = b.reshape(self.n, self.dim)
+        return self._checked(*self._difference(b))
+
+    def _difference(self, b: np.ndarray):
+        # one division; halving b / h is exact, so the central rates equal
+        # b / (2 h) bit for bit
+        bh = b / self.h
+        if self.scheme == "central":
+            half = bh * 0.5
+            return -half, half
+        minus, plus = np.maximum(-bh, 0.0), np.maximum(bh, 0.0)
         if self.scheme == "upwind":
-            central = np.zeros_like(b, dtype=bool)
-        elif self.scheme == "central":
-            central = np.ones_like(b, dtype=bool)
-        else:
-            central = np.abs(b) < 2.0 * self.h * self.q_ax
-        plus = np.where(central, b / (2.0 * self.h), np.maximum(b, 0.0) / self.h)
-        minus = np.where(central, -b / (2.0 * self.h), np.maximum(-b, 0.0) / self.h)
+            return minus, plus
+        central = np.abs(b) < self.q_ax_2h
+        half = bh * 0.5
+        return np.where(central, -half, minus), np.where(central, half, plus)
+
+    def _checked(self, minus: np.ndarray, plus: np.ndarray):
+        """The rates unchanged; raises under ``scheme="central"`` where a
+        rate would make an off-diagonal entry negative."""
         if self.scheme == "central":
             viol = np.minimum(self.q_ax + plus, self.q_ax + minus)
             bad = np.argwhere(viol < -1e-14)
@@ -280,33 +313,39 @@ class OperatorKernel:
             out += e.rate * (V[e.target] - V)
         return out
 
-    def apply_drift(self, b_vals: np.ndarray, V: np.ndarray) -> np.ndarray:
+    def apply_drift(self, b_vals: Optional[np.ndarray], V: np.ndarray) -> np.ndarray:
         """First-order part of Q V for the drift field ``b_vals``.
 
         A (n, d) field gives shape (n,); a (k, n, d) stack of per-control
-        fields gives the (k, n) rows of every control at once.
+        fields gives the (k, n) rows of every control at once, and None the
+        rows of the kernel's own controls, from ``control_rates``.
         """
         V = np.asarray(V, dtype=float)
-        minus, plus = self.drift_rates(b_vals)
+        if b_vals is None:
+            minus, plus = self._checked(*self.control_rates)
+        else:
+            minus, plus = self.drift_rates(b_vals)
         out = np.zeros(plus.shape[:-1])
         for e in self.edges:
             if e.side:
                 rates = plus if e.side > 0 else minus
-                out += rates[..., e.axis] * e.ok * (V[e.target] - V)
+                # an invalid edge targets its own node: its difference is 0
+                out += rates[..., e.axis] * (V[e.target] - V)
         return out
 
-    def apply(self, b_vals: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """(Q V) for a (n, d) drift field, or its (k, n) rows for a (k, n, d) stack."""
+    def apply(self, b_vals: Optional[np.ndarray], V: np.ndarray) -> np.ndarray:
+        """(Q V) for a (n, d) drift field, or its (k, n) rows for a (k, n, d)
+        stack or for None, the kernel's own controls."""
         return self.apply_diffusion(V) + self.apply_drift(b_vals, V)
 
     def control_rows(self, V: np.ndarray, aux_drift: Optional[np.ndarray] = None) -> np.ndarray:
         """(k, n) rows Q^u V of every control, with ``aux_drift`` (n, d) added
         to each control's drift."""
+        if aux_drift is None:
+            return self.apply(None, V)
         return self.apply(self._with_aux(aux_drift), V)
 
-    def _with_aux(self, aux_drift: Optional[np.ndarray]) -> np.ndarray:
-        if aux_drift is None:
-            return self.drift_table
+    def _with_aux(self, aux_drift: np.ndarray) -> np.ndarray:
         return self.drift_table + np.reshape(aux_drift, (self.n, self.dim))
 
     # -- sparse assembly ------------------------------------------------------
@@ -344,12 +383,19 @@ class OperatorKernel:
         differencing, so the combined operator stays monotone.  A relaxed
         policy mixes the per-control drift rates by its weights, which mixes
         the rows of the per-control generators; mixing the drift instead
-        differs, as upwind rates are not linear in b.
+        differs, as upwind rates are not linear in b.  Without ``aux_drift``
+        the rates are picked from ``control_rates``.
         """
-        b_all = self._with_aux(aux_drift)
-        if not policy.is_relaxed:
-            return self.assemble(policy.pick(b_all))
-        minus, plus = self.drift_rates(b_all)
+        if aux_drift is None:
+            minus, plus = self.control_rates
+            if not policy.is_relaxed:
+                return self._assemble(*self._checked(policy.pick(minus), policy.pick(plus)))
+            self._checked(minus, plus)  # every control enters the mix
+        else:
+            b_all = self._with_aux(aux_drift)
+            if not policy.is_relaxed:
+                return self.assemble(policy.pick(b_all))
+            minus, plus = self.drift_rates(b_all)
         return self._assemble(policy.pick(minus), policy.pick(plus))
 
 

@@ -82,6 +82,8 @@ class SimulationConfig:
             raise ValueError("need 0 < dt <= horizon")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
+        if self.mem_stride < 1:
+            raise ValueError("mem_stride must be >= 1")
 
     @property
     def n_steps(self) -> int:

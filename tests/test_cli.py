@@ -262,6 +262,7 @@ SIMULATION = {"dt": 0.01, "horizon": 0.1, "n_paths": 8, "seed": 0, "x0": [0.0]}
         ("check-assumptions", {"assumptions": dict(ASSUMPTIONS, lyap={"type": "quadratic"})}),
         ("simulate", {"simulation": dict(SIMULATION, truncation_L="abc")}),
         ("simulate", {"simulation": dict(SIMULATION, target_radius="abc")}),
+        ("simulate", {"simulation": dict(SIMULATION, record_mem=True, mem_stride=0)}),
     ],
     ids=[
         "zero-C1",
@@ -272,6 +273,7 @@ SIMULATION = {"dt": 0.01, "horizon": 0.1, "n_paths": 8, "seed": 0, "x0": [0.0]}
         "no-lyap-Q",
         "truncation-L-text",
         "target-radius-text",
+        "mem-stride-zero",
     ],
 )
 def test_invalid_config_exit_code(tmp_path, capsys, command, extra):

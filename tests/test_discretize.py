@@ -323,3 +323,90 @@ def test_apply_matches_assembled_matrix():
     with pytest.raises(GridSchemeError, match=r"at node \d+ \(x=") as info:
         kernel.apply(b_all, V)
     assert str(info.value) == single[0]
+
+
+def _where_rates(kernel, b):
+    """Drift rates by the two-branch formulas, the reference for the
+    one-division ``drift_rates``."""
+    h = kernel.h
+    if kernel.scheme == "upwind":
+        central = np.zeros_like(b, dtype=bool)
+    elif kernel.scheme == "central":
+        central = np.ones_like(b, dtype=bool)
+    else:
+        central = np.abs(b) < 2.0 * h * kernel.q_ax
+    plus = np.where(central, b / (2.0 * h), np.maximum(b, 0.0) / h)
+    minus = np.where(central, -b / (2.0 * h), np.maximum(-b, 0.0) / h)
+    return minus, plus
+
+
+def test_drift_rates_bit_identical_to_where_formulas(ou_uncontrolled):
+    # the 13-node, h = 0.5 grid puts |b| exactly at 2 h q_ax at x = +-2
+    corr = make_2d_correlated(np.linalg.cholesky(np.array([[1.0, 0.3], [0.3, 0.8]])))
+    rng = np.random.default_rng(5)
+    for m, g in ((ou_uncontrolled, build_grid([3.0], [13])), (corr, build_grid([1.0, 1.0], [9, 11]))):
+        for scheme in ("hybrid", "upwind", "central"):
+            kernel = OperatorKernel(m, g, scheme)
+            cap = 2.0 * kernel.h * kernel.q_ax
+            zeros = np.zeros((g.n_nodes, g.dim))
+            b_all = np.stack(
+                [m.drift_table(kernel.coords)[0], zeros, -zeros, cap, -cap,
+                 rng.normal(scale=3.0, size=(g.n_nodes, g.dim))]
+            )
+            if scheme == "central":
+                # monotone fields only: |b| <= 2 h q_ax
+                b_all = np.clip(b_all, -cap, cap)
+            for b in (b_all, *b_all):
+                got, want = kernel.drift_rates(b), _where_rates(kernel, b)
+                assert all(np.array_equal(x, y) for x, y in zip(got, want))
+                assert got[0].shape == b.shape
+
+
+def test_kernel_owned_rates_match_drift_table():
+    lq = builtin_ou_lq(a=-1.0, sigma=1.2, q=1.0, c=0.3, u_max=2.0, n_controls=4)
+    corr = make_2d_correlated(np.linalg.cholesky(np.array([[1.0, 0.3], [0.3, 0.8]])))
+    rng = np.random.default_rng(7)
+    for m, g in ((lq, build_grid([3.0], [41])), (corr, build_grid([1.0, 1.0], [9, 11]))):
+        n, k = g.n_nodes, m.controls.n_controls
+        precise = MarkovPolicy(rng.integers(k, size=n))
+        relaxed = MarkovPolicy(rng.dirichlet(np.ones(k), size=n))
+        V = rng.uniform(0.5, 2.0, size=n)
+        for scheme in ("hybrid", "upwind", "central"):
+            own = OperatorKernel(m, g, scheme)
+            # a second kernel that differences the table itself on every call
+            ref = OperatorKernel(m, g, scheme)
+            table = m.drift_table(ref.coords)
+            assert np.array_equal(own.control_rows(V), ref.apply(table, V))
+            Q = own.assemble_policy(precise)
+            assert np.array_equal(Q.toarray(), ref.assemble(precise.pick(table)).toarray())
+            # a relaxed policy mixes the rates of the table, as it does with
+            # an auxiliary drift of zero
+            Q = own.assemble_policy(relaxed)
+            want = ref.assemble_policy(relaxed, aux_drift=np.zeros((n, g.dim)))
+            assert np.array_equal(Q.toarray(), want.toarray())
+            # the rates replace the table, they are not kept beside it
+            assert "drift_table" not in own.__dict__
+
+
+def test_central_scheme_checks_the_controls_in_use():
+    # controls u = -2, 0, 2 on h = 0.5 with q_ax = 2: only u = 0 keeps
+    # |b| <= 2 h q_ax at every node
+    m = builtin_ou_lq(a=-0.5, sigma=1.0, q=1.0, c=1.0, u_max=2.0, n_controls=3)
+    g = build_grid([3.0], [13])
+    n = g.n_nodes
+    kernel = OperatorKernel(m, g, "central")
+    table = m.drift_table(kernel.coords)
+    ok = MarkovPolicy.constant(1, n)
+    assert np.array_equal(
+        kernel.assemble_policy(ok).toarray(), kernel.assemble(table[1]).toarray()
+    )
+    with pytest.raises(GridSchemeError) as single:
+        kernel.assemble(table[2])
+    with pytest.raises(GridSchemeError) as picked:
+        kernel.assemble_policy(MarkovPolicy.constant(2, n))
+    assert str(picked.value) == str(single.value)
+    # every control enters the rows and a relaxed policy's mix
+    with pytest.raises(GridSchemeError):
+        kernel.control_rows(np.ones(n))
+    with pytest.raises(GridSchemeError):
+        kernel.assemble_policy(MarkovPolicy(np.eye(3)[np.ones(n, dtype=int)]))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import ersc.perturb
 from ersc.discretize import build_grid
 from ersc.eigensolve import policy_value
-from ersc.hjb import MarkovPolicy
+from ersc.hjb import MarkovPolicy, solve_hjb
 from ersc.model import ControlSet, DiffusionModel, RegionSpec, builtin_ou_lq
 from ersc.perturb import (
     PerturbationError,
@@ -188,8 +189,6 @@ def test_kappa_sweep_closed_form(ou_uncontrolled):
 
 
 def test_kappa_one_equals_hjb(ou_uncontrolled, grid_241):
-    from ersc.hjb import solve_hjb
-
     res = kappa_sweep(ou_uncontrolled, grid_241, [1.0])
     assert abs(res.entries[0][1] - solve_hjb(ou_uncontrolled, grid_241, tol=1e-9).value) <= 1e-9
 
@@ -206,3 +205,47 @@ def test_kappa_rejects_out_of_range(ou_uncontrolled, grid_241):
         kappa_sweep(ou_uncontrolled, grid_241, [0.0])
     with pytest.raises(PerturbationError):
         kappa_sweep(ou_uncontrolled, grid_241, [1.5])
+
+
+def _count_howard_steps(monkeypatch):
+    steps = []
+
+    def spy(*args, **kwargs):
+        sol = solve_hjb(*args, **kwargs)
+        steps.append(len(sol.history))
+        return sol
+
+    monkeypatch.setattr(ersc.perturb, "solve_hjb", spy)
+    return steps
+
+
+def test_warm_started_kappa_sweep(lq_model, monkeypatch):
+    # each point starts from the previous point's policy: 25 Howard steps
+    # on this sweep, against 33 when every point starts from the myopic policy
+    grid = build_grid([6.0], [481])
+    kappas = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
+    steps = _count_howard_steps(monkeypatch)
+    res = kappa_sweep(lq_model, grid, kappas, tol=1e-9)
+    assert sum(steps) <= 25
+    for k, v in res.entries:
+        # the solve's tolerance 1e-9 k on lambda(k r) is 1e-9 on lambda / k
+        cold = solve_hjb(lq_model, grid, tol=1e-9 * k, cost_scale=k)
+        assert abs(v - cold.value / k) <= 1e-9
+
+
+def test_warm_started_epsilon_sweep(lq_model, monkeypatch):
+    # 15 Howard steps against 21 from the myopic policy
+    grid = build_grid([6.0], [481])
+
+    def h(x, u):
+        u = np.broadcast_to(np.asarray(u, dtype=float), np.shape(x))
+        return 1.0 + np.sum(np.asarray(x) ** 2, axis=-1) + np.sum(u * u, axis=-1)
+
+    fam = family_from_h(lq_model, h, C3=0.5, grid=grid)
+    eps_list = [0.0] + [f * fam.eps0 for f in (0.05, 0.025, 0.0125)]
+    steps = _count_howard_steps(monkeypatch)
+    res = epsilon_sweep(lq_model, grid, fam, eps_list, tol=1e-8)
+    assert sum(steps) <= 15
+    for e, v in res.entries:
+        cold = solve_hjb(lq_model, grid, tol=1e-8, cost_fn=perturbed_cost(fam, e))
+        assert abs(v - cold.value) <= 1e-8

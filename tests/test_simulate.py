@@ -353,6 +353,13 @@ def test_mem_tightness_stationary_ou(ou_uncontrolled, grid_241):
     assert rep["mass_beyond"][-1] <= 1e-3
 
 
+@pytest.mark.parametrize("stride", [0, -1])
+def test_nonpositive_mem_stride_rejected(stride):
+    # 0 used to run until the first recording step and then divide by zero
+    with pytest.raises(ValueError, match="mem_stride must be >= 1"):
+        SimulationConfig(dt=0.5, horizon=1.0, n_paths=1, record_mem=True, mem_stride=stride)
+
+
 def test_mem_deterministic_contraction(grid_241):
     m = builtin_ou_lq(a=-1, sigma=1e-3, q=0.0, c=0.0, u_max=0.0, n_controls=1)
     cfg = SimulationConfig(
