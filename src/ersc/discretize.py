@@ -46,8 +46,6 @@ __all__ = [
     "OperatorKernel",
     "build_grid",
     "is_irreducible",
-    "assemble_generator",
-    "assemble_policy_generator",
 ]
 
 
@@ -172,8 +170,9 @@ class OperatorKernel:
     them, so callers pass policies and auxiliary drifts, never the table.  The
     rates are differenced once, on first use, and the drift table they come
     from is not kept; only the auxiliary-drift paths, which difference
-    ``drift_table + aux`` on every call, materialise it.  Assembly returns a
-    plain ``scipy.sparse.csr_matrix``.
+    ``drift_table + aux`` on every call, and the game's held-policy row
+    materialise it.  Assembly returns a plain ``scipy.sparse.csr_matrix``.
+    A grid whose dimension differs from the model's raises ValueError.
 
     Under ``scheme="central"`` the monotonicity check runs on the rates a
     result uses: every control for ``control_rows`` and for a relaxed policy,
@@ -183,6 +182,10 @@ class OperatorKernel:
     def __init__(self, model, grid: Grid, scheme: str = "hybrid"):
         if scheme not in ("hybrid", "upwind", "central"):
             raise ValueError(f"unknown scheme {scheme!r}")
+        if grid.dim != model.dim:
+            raise ValueError(
+                f"grid dimension {grid.dim} does not match model dimension {model.dim}"
+            )
         self.model = model
         self.grid = grid
         self.scheme = scheme
@@ -248,8 +251,9 @@ class OperatorKernel:
     def drift_table(self) -> np.ndarray:
         """(k, n, d) drift b(x_i, u_k) of every control, computed on first use.
 
-        Only the auxiliary-drift paths read it; the rows and generators of the
-        controls' own drifts come from ``control_rates``.
+        Only the auxiliary-drift paths and the game's held-policy row read it;
+        the rows and generators of the controls' own drifts come from
+        ``control_rates``.
         """
         return self.model.drift_table(self.coords)
 
@@ -398,25 +402,3 @@ class OperatorKernel:
             minus, plus = self.drift_rates(b_all)
         return self._assemble(policy.pick(minus), policy.pick(plus))
 
-
-def assemble_generator(model, grid: Grid, u, scheme: str = "hybrid") -> sp.csr_matrix:
-    """Generator matrix of L^u for a fixed control point u."""
-    if grid.dim != model.dim:
-        raise ValueError("grid dimension does not match model dimension")
-    kernel = OperatorKernel(model, grid, scheme)
-    return kernel.assemble(model.drift(kernel.coords, np.asarray(u, dtype=float)))
-
-
-def assemble_policy_generator(
-    model, grid: Grid, policy, aux_drift: Optional[np.ndarray] = None, scheme: str = "hybrid"
-) -> sp.csr_matrix:
-    """Generator matrix under a Markov policy, optionally with an added drift field.
-
-    Relaxed policies give the per-row convex combination of the precise
-    generators' rows, assembled once from the mixed drift rates; see
-    ``OperatorKernel.assemble_policy``.
-    """
-    if grid.dim != model.dim:
-        raise ValueError("grid dimension does not match model dimension")
-    kernel = OperatorKernel(model, grid, scheme)
-    return kernel.assemble_policy(policy, aux_drift)

@@ -20,9 +20,10 @@ One alternating loop computes three values and returns its GameSolution
 (value, bias, both policies, residual, iterations, history): the saddle point
 (``solve_ergodic_game``), the risk-sensitive cost of a fixed policy
 (``sup_w_fixed_policy``, v held fixed) and the conventional average cost
-(``average_cost_solve``, l = 0 so w = 0, no payoff cap).  It stops once the
-Isaacs residual is below tol and the last step moved rho and w by less than
-sqrt(tol), and raises GameSolveError when max_iter steps run out.
+(``average_cost_solve``, l = 0 so w = 0, no payoff cap).  It is the Howard
+driver ``hjb._howard`` on the pair (v, w), one Poisson solve per step: a step
+has settled when it moved rho and w by less than sqrt(tol), and the stop,
+stall and budget rule is the driver's, raising GameSolveError.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from .discretize import Grid, OperatorKernel
 from .eigensolve import _factor_m_matrix
-from .hjb import MarkovPolicy
+from .hjb import MarkovPolicy, _howard
 from .model import sigma_t_times, sigma_times
 from .perturb import perturbed_cost
 
@@ -103,7 +104,9 @@ class AuxiliaryPolicy:
 @dataclass(frozen=True)
 class GameSolution:
     """Result of the game loop: the saddle point of the truncated ergodic
-    game, or its fixed-policy or w = 0 (average-cost) restriction."""
+    game, or its fixed-policy or w = 0 (average-cost) restriction.
+    ``iterations`` counts its Poisson solves and ``history`` holds their
+    values, the last being ``value``."""
 
     value: float
     bias: np.ndarray
@@ -165,7 +168,8 @@ class _GameIteration:
     """The alternating Howard loop on the average-cost Poisson equation.
 
     ``r_all`` is the (k, n) running-cost table; the payoff caps it at L*.
-    l = 0 leaves the adversary no room, so w stays 0.
+    l = 0 leaves the adversary no room, so w stays 0 and adds no drift: the
+    rows and generators come from the kernel's cached control rates.
     """
 
     def __init__(self, model, grid, r_all, l, L_star, scheme):
@@ -180,8 +184,10 @@ class _GameIteration:
         self.sig = model.sigma(coords)
         self.rc_all = np.minimum(r_all, self.L_star)
 
-    def aux_drift(self, w: np.ndarray) -> np.ndarray:
-        # Delta_l(x, w) = chi_l(x) Sigma(x) w(x)
+    def aux_drift(self, w: np.ndarray) -> Optional[np.ndarray]:
+        # Delta_l(x, w) = chi_l(x) Sigma(x) w(x), None where l = 0 forces w = 0
+        if self.l == 0.0:
+            return None
         return self.chi[:, None] * sigma_times(self.sig, w)
 
     def penalty(self, w: np.ndarray) -> np.ndarray:
@@ -203,61 +209,42 @@ class _GameIteration:
 
     def improve_v(self, psi: np.ndarray, w: np.ndarray, held=None) -> np.ndarray:
         """The (k, n) rows of every control, or the (n,) row of a held policy."""
+        aux = self.aux_drift(w)
         if held is None:
-            return self.kernel.control_rows(psi, self.aux_drift(w)) + self.rc_all
-        b = held.pick(self.kernel.drift_table) + self.aux_drift(w)
-        return self.kernel.apply(b, psi) + held.pick(self.rc_all)
+            return self.kernel.control_rows(psi, aux) + self.rc_all
+        b = held.pick(self.kernel.drift_table)
+        return self.kernel.apply(b if aux is None else b + aux, psi) + held.pick(self.rc_all)
 
     def solve(self, v: MarkovPolicy, tol: float, max_iter: int, hold_v: bool = False):
-        """Alternate the players' updates from (v, w = 0); stop and raise
-        rule as in the module docstring.
+        """Howard's driver on the pair (v, w) from (v, w = 0), stepped as in
+        ``solve_ergodic_game``.  ``hold_v`` keeps v, and the residual is then
+        v's own row, the only row evaluated."""
+        last = {"rho": np.inf, "w": np.zeros((self.kernel.n, self.grid.dim))}
 
-        Each step solves the Poisson equation for (v, w), then refreshes w in
-        closed form and v by the row argmin.  ``hold_v`` keeps v, and the
-        residual is then v's own row, the only row evaluated.  The w* and
-        rows that give a step's Isaacs residual are the next step's updates.
-        A step that leaves v, w and rho bit for bit unchanged above tol would
-        repeat forever, so it raises GameSolveError at once.
-        """
-        held = v if hold_v else None
-        w = np.zeros((self.kernel.n, self.grid.dim))
-        rho, psi = self.evaluate(v, w)
-        w_new = self.improve_w(psi)
-        rows = self.improve_v(psi, w_new, held)
-        history = []
-        residual = np.inf
-        for k in range(1, max_iter + 1):
-            history.append(rho)
-            v_prev = v
-            if held is None:
-                v = MarkovPolicy(np.argmin(rows, axis=0))
-            rho_new, psi = self.evaluate(v, w_new)
+        def step(policy):
+            v, w = policy
+            rho, psi = self.evaluate(v, w)
             w_next = self.improve_w(psi)
-            rows = self.improve_v(psi, w_next, held)
-            best = np.min(rows, axis=0) if held is None else rows
-            residual = float(np.max(np.abs(best - self.penalty(w_next) - rho_new)))
+            rows = self.improve_v(psi, w_next, v if hold_v else None)
+            best = rows if hold_v else np.min(rows, axis=0)
+            residual = float(np.max(np.abs(best - self.penalty(w_next) - rho)))
             moved = max(
-                float(np.max(np.linalg.norm(w_new - w, axis=-1))), abs(rho_new - rho)
+                float(np.max(np.linalg.norm(w - last["w"], axis=-1))), abs(rho - last["rho"])
             )
-            w, w_new, rho = w_new, w_next, rho_new
-            if residual < tol and moved < max(tol, 1e-12) ** 0.5:
-                break
-            if moved == 0.0 and np.array_equal(v.assignment, v_prev.assignment):
-                raise GameSolveError(
-                    f"game iteration stalled at residual {residual:g} (tol {tol:g}) "
-                    f"after {k} steps: v, w and rho no longer change"
-                )
-        else:
-            raise GameSolveError(
-                f"game iteration stopped at residual {residual:g} after {max_iter} steps"
-            )
+            last.update(rho=rho, w=w, psi=psi)
+            v_next = v if hold_v else MarkovPolicy(np.argmin(rows, axis=0))
+            return rho, residual, moved < max(tol, 1e-12) ** 0.5, (v_next, w_next)
+
+        (v, w), residual, history = _howard(
+            step, (v, last["w"]), tol, max_iter, GameSolveError
+        )
         return GameSolution(
-            value=rho,
-            bias=psi,
+            value=last["rho"],
+            bias=last["psi"],
             v_policy=v,
             w_policy=AuxiliaryPolicy(field=w, bound=self.l, cutoff=self.chi),
             residual=residual,
-            iterations=k,
+            iterations=len(history),
             history=history,
             l=self.l,
             L_star=self.L_star,
@@ -289,10 +276,9 @@ def solve_ergodic_game(
     For the current pair (v, w) the average-cost Poisson system
     Q^{v,w} Psi + f = rho, Psi(origin) = 0 is solved exactly; then w is
     refreshed by the closed-form ball maximization on chi_l Sigma' grad Psi
-    and v by the pointwise row minimization.  Stops when the Isaacs residual
-    (Bellman defect of the coupled system) is below tol and the last step
-    moved rho and w by less than sqrt(tol); raises GameSolveError when
-    ``max_iter`` steps run out.
+    and v by the pointwise row minimization.  The residual is the Isaacs
+    residual (Bellman defect of the coupled system); ``max_iter`` caps the
+    Poisson solves; stop, stall and budget rule as in the module docstring.
 
     ``epsilon`` = 0 runs the game on the raw running cost; positive epsilon
     requires the perturbation ``family`` that defines the inf-compact blend.
@@ -318,7 +304,7 @@ def sup_w_fixed_policy(
     from below, increasing in l.
 
     The game loop with v held at ``policy``; its residual is the policy's own
-    Bellman row, and the stop and raise rule is that of solve_ergodic_game.
+    Bellman row; stop, stall and budget rule as in the module docstring.
     """
     if policy.is_relaxed:
         raise GameSolveError("fixed-policy game expects a precise policy")
@@ -370,7 +356,7 @@ def average_cost_solve(
 
     The game loop with l = 0, which freezes the w-player at zero, and no
     payoff cap (L* = inf): plain Howard iteration on the Poisson equation,
-    with the stop and raise rule of solve_ergodic_game.
+    with the stop, stall and budget rule of the module docstring.
     """
     r_all = cost_scale * model.cost_table(grid.coords(), cost_fn)
     it = _GameIteration(model, grid, r_all, 0.0, np.inf, scheme)

@@ -8,6 +8,9 @@ of A' at V is at most ``up``, and inverse iteration started from V never
 raises it.  The history of these upper bounds is therefore non-increasing
 (the bracket midpoint is not: it may rise by up to half a bracket), and the
 iteration terminates at a fixed point of the discrete HJB operator.
+
+``_howard`` is the package's one Howard loop, for these Perron steps and the
+Poisson steps of ``game``; its docstring states their stop, stall and budget rule.
 """
 
 from __future__ import annotations
@@ -123,6 +126,42 @@ class HjbSolution:
         return np.log(self.V)
 
 
+def _howard(step, policy, tol: float, max_iter: int, error: type):
+    """Howard policy iteration from ``policy``: (policy, residual, history).
+
+    ``step(policy)`` evaluates a policy and returns its scalar value, its
+    residual, whether its solution has settled, and the improved policy.  The
+    loop returns at the first settled step with residual below tol: the policy
+    that step evaluated, its residual and every step's value.  It raises
+    ``error`` at once when the improved policy repeats an earlier one whose
+    value is unchanged within tol (argmin ties cycling, or rounding holding
+    the residual above tol), and when ``max_iter`` steps run out; both
+    messages name the last residual and tol.
+    """
+    history, seen, residual = [], {}, np.inf
+    for k in range(1, max_iter + 1):
+        value, residual, settled, improved = step(policy)
+        history.append(value)
+        if settled and residual < tol:
+            return policy, residual, history
+        if abs(seen.get(_key(improved), np.inf) - value) <= tol:
+            raise error(
+                f"policy iteration stalled at residual {residual:g} (tol {tol:g}) after "
+                f"{k} steps: it revisited a policy with unchanged value"
+            )
+        seen[_key(policy)] = value
+        policy = improved
+    raise error(
+        f"policy iteration stopped at residual {residual:g} (tol {tol:g}) after {max_iter} steps"
+    )
+
+
+def _key(policy) -> bytes:
+    """The bytes of a MarkovPolicy, or of a tuple of policies and arrays."""
+    parts = policy if isinstance(policy, tuple) else (policy,)
+    return b"".join(getattr(p, "assignment", p).tobytes() for p in parts)
+
+
 def solve_hjb(
     model,
     grid: Grid,
@@ -153,9 +192,7 @@ def solve_hjb(
     start, so the warm start changes iteration counts, not the gates.
 
     Raises:
-        HjbError: if the iteration budget is exhausted, or at once when the
-        improved policy repeats one of unchanged value with the residual or
-        the value decrease still at or above tol (argmin tie cycling).
+        HjbError: by the stall and budget rule of ``_howard``.
     """
     kernel = OperatorKernel(model, grid, scheme)
     r_all = cost_scale * model.cost_table(kernel.coords, cost_fn)
@@ -167,47 +204,34 @@ def solve_hjb(
         if policy.is_relaxed:
             raise HjbError("policy iteration requires a precise initial policy")
 
-    history = []
-    seen = {}
-    prev_value = np.inf
-    V = None
+    pair = None
 
-    for it in range(1, max_iter + 1):
+    def step(policy):
+        nonlocal pair
         Q, r = kernel.assemble_policy(policy), policy.pick(r_all)
+        start, prev = (None, np.inf) if pair is None else (pair.vector, pair.cw_upper)
         pair = principal_eigenpair(
-            Q, r, tol=max(0.1 * tol, bracket_floor(Q, r)), max_iter=1000, origin_node=grid.origin_node, grid=grid, start=V
+            Q, r, tol=max(0.1 * tol, bracket_floor(Q, r)), max_iter=1000, origin_node=grid.origin_node, grid=grid, start=start
         )
-        lam, up, V = pair.value, pair.cw_upper, pair.vector
-        history.append(up)
-
+        V = pair.vector
         rows = kernel.control_rows(V) + r_all * V
-        best = np.min(rows, axis=0)
-        residual = float(np.max(np.abs(best - lam * V) / V))
+        residual = float(np.max(np.abs(np.min(rows, axis=0) - pair.value * V) / V))
         improved = MarkovPolicy(np.argmin(rows, axis=0))
+        return pair.cw_upper, residual, prev - pair.cw_upper < tol, improved
 
-        if (prev_value - up) < tol and residual < tol:
-            return HjbSolution(
-                value=lam,
-                V=V,
-                policy=policy,
-                residual=residual,
-                history=history,
-                eigenpair=pair,
-                model=model,
-                grid=grid,
-                scheme=scheme,
-                cost_table=r_all,
-            )
-        if abs(seen.get(improved.assignment.tobytes(), np.inf) - up) <= tol:
-            raise HjbError(
-                f"policy iteration revisited a policy with unchanged value at "
-                f"residual {residual:g} (tol {tol:g})"
-            )
-        seen[policy.assignment.tobytes()] = up
-        policy = improved
-        prev_value = up
-
-    raise HjbError(f"policy iteration did not converge in {max_iter} steps")
+    policy, residual, history = _howard(step, policy, tol, max_iter, HjbError)
+    return HjbSolution(
+        value=pair.value,
+        V=pair.vector,
+        policy=policy,
+        residual=residual,
+        history=history,
+        eigenpair=pair,
+        model=model,
+        grid=grid,
+        scheme=scheme,
+        cost_table=r_all,
+    )
 
 
 def check_optimality_condition(solution: HjbSolution, candidate: MarkovPolicy, tol: float = 1e-8):

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from ersc.discretize import build_grid
+from ersc.discretize import OperatorKernel, build_grid
 from ersc.eigensolve import policy_value, principal_eigenpair
 from ersc.game import game_value_sweep, radial_cutoff, sup_w_fixed_policy
 from ersc.hjb import MarkovPolicy, solve_hjb
@@ -290,9 +290,7 @@ def test_criterion_11_structural_properties(ou_uncontrolled):
         )
         grid = build_grid([rng.uniform(3, 6)], [int(rng.integers(31, 121))])
         pol = MarkovPolicy(rng.integers(model.controls.n_controls, size=grid.n_nodes))
-        from ersc.discretize import assemble_policy_generator
-
-        gm = assemble_policy_generator(model, grid, pol)
+        gm = OperatorKernel(model, grid).assemble_policy(pol)
         rowsum_ok &= bool(np.max(np.abs(gm.sum(axis=1))) <= 1e-12)
         offdiag_ok &= bool((gm - sp.diags(gm.diagonal())).min() >= 0.0)
         pair = policy_value(model, grid, pol, tol=1e-7, max_iter=3000)

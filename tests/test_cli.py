@@ -263,6 +263,7 @@ SIMULATION = {"dt": 0.01, "horizon": 0.1, "n_paths": 8, "seed": 0, "x0": [0.0]}
         ("simulate", {"simulation": dict(SIMULATION, truncation_L="abc")}),
         ("simulate", {"simulation": dict(SIMULATION, target_radius="abc")}),
         ("simulate", {"simulation": dict(SIMULATION, record_mem=True, mem_stride=0)}),
+        ("eigen", {"grid": {"radii": [6.0, 6.0], "counts": [15, 15]}}),
     ],
     ids=[
         "zero-C1",
@@ -274,6 +275,7 @@ SIMULATION = {"dt": 0.01, "horizon": 0.1, "n_paths": 8, "seed": 0, "x0": [0.0]}
         "truncation-L-text",
         "target-radius-text",
         "mem-stride-zero",
+        "dim-mismatch",
     ],
 )
 def test_invalid_config_exit_code(tmp_path, capsys, command, extra):

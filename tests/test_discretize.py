@@ -5,8 +5,6 @@ import scipy.sparse as sp
 from ersc.discretize import (
     GridSchemeError,
     OperatorKernel,
-    assemble_generator,
-    assemble_policy_generator,
     build_grid,
     is_irreducible,
 )
@@ -56,7 +54,8 @@ def test_pure_diffusion_stencil():
     m = make_1d_model(lambda x: 0.0 * x)
     g = build_grid([1.0], [5])
     h = g.spacings[0]
-    Q = assemble_generator(m, g, m.controls.points[0]).toarray()
+    kernel = OperatorKernel(m, g)
+    Q = kernel.assemble(m.drift(kernel.coords, m.controls.points[0])).toarray()
     i = 2
     assert np.isclose(Q[i, i - 1], 0.5 / h**2)
     assert np.isclose(Q[i, i + 1], 0.5 / h**2)
@@ -68,7 +67,8 @@ def test_upwind_drift_stencil():
     m = make_1d_model(lambda x: np.ones_like(x))
     g = build_grid([1.0], [5])
     h = g.spacings[0]
-    Q = assemble_generator(m, g, m.controls.points[0], scheme="upwind").toarray()
+    kernel = OperatorKernel(m, g, "upwind")
+    Q = kernel.assemble(m.drift(kernel.coords, m.controls.points[0])).toarray()
     i = 2
     assert np.isclose(Q[i, i + 1], 0.5 / h**2 + 1.0 / h)
     assert np.isclose(Q[i, i - 1], 0.5 / h**2)
@@ -79,7 +79,8 @@ def test_hybrid_uses_central_when_admissible():
     m = make_1d_model(lambda x: np.ones_like(x))
     g = build_grid([1.0], [5])
     h = g.spacings[0]
-    Q = assemble_generator(m, g, m.controls.points[0], scheme="hybrid").toarray()
+    kernel = OperatorKernel(m, g, "hybrid")
+    Q = kernel.assemble(m.drift(kernel.coords, m.controls.points[0])).toarray()
     i = 2
     assert np.isclose(Q[i, i + 1], 0.5 / h**2 + 0.5 / h)
     assert np.isclose(Q[i, i - 1], 0.5 / h**2 - 0.5 / h)
@@ -89,11 +90,13 @@ def test_hybrid_falls_back_to_upwind():
     # |b| h > sigma^2 forces the one-sided branch; off-diagonals stay >= 0
     m = make_1d_model(lambda x: 10.0 * np.ones_like(x), sigma=0.5)
     g = build_grid([1.0], [5])
-    gm = assemble_generator(m, g, m.controls.points[0], scheme="hybrid")
+    kernel = OperatorKernel(m, g, "hybrid")
+    gm = kernel.assemble(m.drift(kernel.coords, m.controls.points[0]))
     assert (gm - sp.diags(gm.diagonal())).min() >= 0.0
     assert np.max(np.abs(gm.sum(axis=1))) <= 1e-12
+    kernel = OperatorKernel(m, g, "central")
     with pytest.raises(GridSchemeError):
-        assemble_generator(m, g, m.controls.points[0], scheme="central")
+        kernel.assemble(m.drift(kernel.coords, m.controls.points[0]))
 
 
 def test_hybrid_tie_keeps_every_edge(ou_uncontrolled):
@@ -125,7 +128,8 @@ def test_generator_invariants_random_models():
         m = builtin_ou_lq(a=a, sigma=sig, q=rng.uniform(0, 2), c=0.1, u_max=1.0, n_controls=3)
         g = build_grid([rng.uniform(2, 6)], [int(rng.integers(11, 81))])
         u = m.controls.points[rng.integers(3)]
-        gm = assemble_generator(m, g, u)
+        kernel = OperatorKernel(m, g)
+        gm = kernel.assemble(m.drift(kernel.coords, u))
         assert np.max(np.abs(gm.sum(axis=1))) <= 1e-12
         assert (gm - sp.diags(gm.diagonal())).min() >= 0.0
         assert is_irreducible(gm)
@@ -134,9 +138,10 @@ def test_generator_invariants_random_models():
 def test_policy_generator_matches_constant_control():
     m = builtin_ou_lq(a=-1.0, sigma=1.0, q=1.0, c=1.0, u_max=2.0, n_controls=3)
     g = build_grid([2.0], [21])
-    Q_u = assemble_generator(m, g, m.controls.points[2])
+    kernel = OperatorKernel(m, g)
+    Q_u = kernel.assemble(m.drift(kernel.coords, m.controls.points[2]))
     pol = MarkovPolicy.constant(2, g.n_nodes)
-    Q_p = assemble_policy_generator(m, g, pol)
+    Q_p = kernel.assemble_policy(pol)
     assert np.allclose((Q_u - Q_p).toarray(), 0.0)
 
 
@@ -157,11 +162,10 @@ def test_relaxed_policy_mixes_rows():
         w[:, j] = 0.5
         aux = 0.3 * np.sin(g.coords())
         for scheme in ("hybrid", "upwind"):
+            kernel = OperatorKernel(m, g, scheme)
             for drift in (None, aux):
                 def gen(pol):
-                    return assemble_policy_generator(
-                        m, g, pol, aux_drift=drift, scheme=scheme
-                    ).toarray()
+                    return kernel.assemble_policy(pol, aux_drift=drift).toarray()
 
                 Q_mix = gen(MarkovPolicy(w))
                 Qi = gen(MarkovPolicy.constant(i, n))
@@ -175,7 +179,7 @@ def test_policy_flip_changes_upwind_direction():
     g = build_grid([1.0], [9])
     coords = g.coords().ravel()
     assign = np.where(coords < 0, 1, 0)  # drift +1 left of 0, -1 right of 0
-    Q = assemble_policy_generator(m, g, MarkovPolicy(assign), scheme="upwind").toarray()
+    Q = OperatorKernel(m, g, "upwind").assemble_policy(MarkovPolicy(assign)).toarray()
     h = g.spacings[0]
     i_left, i_right = 1, 7
     assert np.isclose(Q[i_left, i_left + 1], 0.5 * 0.16 / h**2 + 1.0 / h)
@@ -262,7 +266,8 @@ def test_cross_terms_consistent_and_monotone():
     hs, errs = [], []
     for count in (11, 21, 41):
         g = build_grid([1.0, 1.0], [count, count])
-        gm = assemble_generator(m, g, m.controls.points[0])
+        kernel = OperatorKernel(m, g)
+        gm = kernel.assemble(m.drift(kernel.coords, m.controls.points[0]))
         assert (gm - sp.diags(gm.diagonal())).min() >= 0.0
         assert np.max(np.abs(gm.sum(axis=1))) <= 1e-12
         hs.append(g.spacings[0])
@@ -276,7 +281,7 @@ def test_cross_term_monotonicity_failure_is_loud():
     m = make_2d_correlated(np.linalg.cholesky(A))
     g = build_grid([1.0, 1.0], [11, 11])
     with pytest.raises(GridSchemeError, match="refine"):
-        assemble_generator(m, g, m.controls.points[0])
+        OperatorKernel(m, g)
 
 
 def test_apply_matches_assembled_matrix():

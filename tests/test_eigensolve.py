@@ -98,9 +98,8 @@ def test_policy_value_kappa_scaling(ou_uncontrolled, grid_241):
     kappa = 0.5
     scaled = policy_value(ou_uncontrolled, grid_241, pol, cost_scale=kappa, tol=1e-11)
     # same as the eigenpair of Q + kappa diag(r) by definition
-    from ersc.discretize import assemble_generator
-
-    Q = assemble_generator(ou_uncontrolled, grid_241, ou_uncontrolled.controls.points[0])
+    kernel = OperatorKernel(ou_uncontrolled, grid_241)
+    Q = kernel.assemble(ou_uncontrolled.drift(kernel.coords, ou_uncontrolled.controls.points[0]))
     r = kappa * ou_uncontrolled.cost(grid_241.coords(), ou_uncontrolled.controls.points[0])
     direct = principal_eigenpair(Q, r, tol=1e-11, origin_node=grid_241.origin_node)
     assert abs(scaled.value - direct.value) <= 1e-10

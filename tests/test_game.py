@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ersc import game
-from ersc.discretize import assemble_policy_generator, build_grid
+from ersc.discretize import OperatorKernel, build_grid
 from ersc.eigensolve import policy_value
 from ersc.game import (
     AuxiliaryPolicy,
@@ -20,6 +20,7 @@ from ersc.game import (
 )
 from ersc.hjb import MarkovPolicy, solve_hjb, value_gradient_field
 from ersc.model import builtin_ou_lq
+from ersc.perturb import kappa_sweep
 
 
 def test_inner_max_examples():
@@ -89,7 +90,7 @@ def test_poisson_matches_bordered_system(lq_model, w_network):
     ):
         cost = model.cost_table(grid.coords())
         myopic = MarkovPolicy(np.argmin(cost, axis=0))
-        G = assemble_policy_generator(model, grid, myopic, aux_drift=aux)
+        G = OperatorKernel(model, grid).assemble_policy(myopic, aux_drift=aux)
         cases.append((G, myopic.pick(cost), grid.origin_node))
     for G, f, origin in cases:
         rho, psi = solve_poisson(G, f, origin)
@@ -250,8 +251,8 @@ def test_sup_w_stops_on_fixed_policy_residual(ou_uncontrolled):
     y, _ = inner_max_w(grid.gradient(sol.bias) @ sig, 8.0 * chi)
     w = np.zeros_like(y)
     w[chi > 1e-12] = y[chi > 1e-12] / chi[chi > 1e-12, None]
-    G = assemble_policy_generator(
-        ou_uncontrolled, grid, pol, aux_drift=chi[:, None] * (w @ sig.T)
+    G = OperatorKernel(ou_uncontrolled, grid).assemble_policy(
+        pol, aux_drift=chi[:, None] * (w @ sig.T)
     )
     r = np.minimum(ou_uncontrolled.cost_table(coords)[0], default_truncation_rule(8.0))
     penalty = 0.5 * np.sum((chi[:, None] * w) ** 2, axis=1)
@@ -297,3 +298,55 @@ def test_game_loop_raises_at_once_when_it_stalls(monkeypatch):
     with pytest.raises(GameSolveError, match="stalled at residual"):
         average_cost_solve(model, build_grid([6.0], [4801]))
     assert len(calls) <= 5
+
+
+def test_zero_l_game_reads_the_kernels_cached_rates(lq_model, monkeypatch):
+    # with l = 0 the adversary adds no drift, so the average-cost loop and the
+    # kappa sweep that calls it never difference the model's drift table
+    grid = build_grid([6.0], [121])
+    want = average_cost_solve(lq_model, grid)
+    sweep = kappa_sweep(lq_model, grid, [1.0, 0.1])
+
+    def forbidden(self):
+        raise AssertionError("drift_table read")
+
+    monkeypatch.setattr(OperatorKernel, "drift_table", property(forbidden))
+    got = average_cost_solve(lq_model, grid)
+    assert got.value == want.value and np.array_equal(got.bias, want.bias)
+    again = kappa_sweep(lq_model, grid, [1.0, 0.1])
+    assert again.lambda_zero == sweep.lambda_zero and again.entries == sweep.entries
+    monkeypatch.undo()
+    # the held-policy row needs no auxiliary drift either: at l = 0 the
+    # optimal policy's fixed-policy value is the average cost
+    held = sup_w_fixed_policy(lq_model, grid, want.v_policy, 0.0, l=0.0, L_star=np.inf, tol=1e-10)
+    assert abs(held.value - want.value) <= 1e-9
+
+
+def test_iterations_count_poisson_solves(lq_model, ou_uncontrolled, monkeypatch):
+    calls = []
+    real = game.solve_poisson
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(game, "solve_poisson", counted)
+    grid = build_grid([6.0], [121])
+    runs = {
+        "game": lambda n: solve_ergodic_game(lq_model, grid, 0.0, 4.0, 18.0, max_iter=n),
+        "sup_w": lambda n: sup_w_fixed_policy(
+            ou_uncontrolled, grid, MarkovPolicy.constant(0, 121), 0.0, l=8.0, max_iter=n
+        ),
+        "average": lambda n: average_cost_solve(lq_model, grid, max_iter=n),
+    }
+    for name, solve in runs.items():
+        calls.clear()
+        sol = solve(200)
+        assert sol.iterations == len(calls) == len(sol.history), name
+        assert sol.history[-1] == sol.value, name
+        # max_iter caps the Poisson solves
+        assert solve(sol.iterations).value == sol.value, name
+        calls.clear()
+        with pytest.raises(GameSolveError, match=r"stopped at residual \S+ \(tol"):
+            solve(sol.iterations - 1)
+        assert len(calls) == sol.iterations - 1, name

@@ -219,3 +219,10 @@ def test_lq_481_factorization_count(lq_model, monkeypatch):
     sol = solve_hjb(lq_model, build_grid([6.0], [481]))
     assert len(calls) <= 19
     assert sol.residual <= 1e-8
+
+
+def test_budget_error_names_its_residual(lq_model, grid_241):
+    with pytest.raises(HjbError, match=r"residual (\S+) \(tol 1e-08\) after 1 steps") as err:
+        solve_hjb(lq_model, grid_241, max_iter=1)
+    residual = float(re.search(r"residual (\S+) ", str(err.value)).group(1))
+    assert residual >= 1e-8
