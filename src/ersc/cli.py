@@ -251,12 +251,15 @@ def _optional_float(block: dict, key: str) -> Optional[float]:
 def _sim_config(cfg: dict, model: DiffusionModel, seed) -> SimulationConfig:
     block = _need(cfg, "simulation")
     target_radius = _optional_float(block, "target_radius")
+    seed = block.get("seed", 0) if seed is None else seed
+    if isinstance(seed, float) and seed.is_integer():
+        seed = int(seed)  # 7.0 reads as 7; 1.5 is not truncated, SimulationConfig rejects it
     try:
         return SimulationConfig(
             dt=float(block["dt"]),
             horizon=float(block["horizon"]),
             n_paths=int(block["n_paths"]),
-            seed=int(block.get("seed", 0) if seed is None else seed),
+            seed=seed,
             x0=block.get("x0", [0.0] * model.dim),
             antithetic=bool(block.get("antithetic", False)),
             record_mem=bool(block.get("record_mem", False)),

@@ -34,8 +34,6 @@ __all__ = [
     "builtin_ou_lq",
     "builtin_w_network",
     "check_assumptions",
-    "verify_nondegeneracy",
-    "lipschitz_ratio_samples",
     "sigma_times",
     "sigma_t_times",
 ]
@@ -554,53 +552,3 @@ def check_assumptions(
         worst_slack=worst,
         worst_point=worst_pt,
     )
-
-
-# ---------------------------------------------------------------------------
-# Sampling diagnostics
-# ---------------------------------------------------------------------------
-
-
-def verify_nondegeneracy(
-    model: DiffusionModel,
-    n_samples: int = 1000,
-    radius: float = 5.0,
-    seed: int = 0,
-) -> float:
-    """Smallest sampled ratio z'A(x)z / |z|^2; must be >= model.nondeg_floor."""
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    for _ in range(n_samples):
-        x = rng.uniform(-radius, radius, size=model.dim)
-        z = rng.normal(size=model.dim)
-        z /= np.linalg.norm(z)
-        A = model.diffusion_matrix(x)
-        worst = min(worst, float(z @ A @ z))
-    return worst
-
-
-def lipschitz_ratio_samples(
-    model: DiffusionModel,
-    radius: float = 5.0,
-    n_pairs: int = 500,
-    seed: int = 0,
-) -> float:
-    """Largest sampled difference quotient of drift and sigma on a ball."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    pts = model.controls.points
-    for _ in range(n_pairs):
-        x = rng.uniform(-radius, radius, size=model.dim)
-        y = x + rng.normal(scale=1e-3, size=model.dim)
-        u = pts[rng.integers(len(pts))]
-        dx = np.linalg.norm(x - y)
-        if dx == 0:
-            continue
-        db = np.linalg.norm(
-            np.asarray(model.drift(x, u)) - np.asarray(model.drift(y, u))
-        )
-        sx = np.atleast_2d(model.sigma(x))
-        sy = np.atleast_2d(model.sigma(y))
-        ds = np.linalg.norm(sx - sy)
-        worst = max(worst, (db + ds) / dx)
-    return worst

@@ -264,6 +264,8 @@ SIMULATION = {"dt": 0.01, "horizon": 0.1, "n_paths": 8, "seed": 0, "x0": [0.0]}
         ("simulate", {"simulation": dict(SIMULATION, target_radius="abc")}),
         ("simulate", {"simulation": dict(SIMULATION, record_mem=True, mem_stride=0)}),
         ("eigen", {"grid": {"radii": [6.0, 6.0], "counts": [15, 15]}}),
+        ("simulate", {"simulation": dict(SIMULATION, seed=-1)}),
+        ("simulate", {"simulation": dict(SIMULATION, seed=1.5)}),
     ],
     ids=[
         "zero-C1",
@@ -276,6 +278,8 @@ SIMULATION = {"dt": 0.01, "horizon": 0.1, "n_paths": 8, "seed": 0, "x0": [0.0]}
         "target-radius-text",
         "mem-stride-zero",
         "dim-mismatch",
+        "seed-negative",
+        "seed-fraction",
     ],
 )
 def test_invalid_config_exit_code(tmp_path, capsys, command, extra):

@@ -9,10 +9,8 @@ from ersc.model import (
     builtin_ou_lq,
     builtin_w_network,
     check_assumptions,
-    lipschitz_ratio_samples,
     sigma_t_times,
     sigma_times,
-    verify_nondegeneracy,
     w_network_matrices,
 )
 
@@ -123,17 +121,6 @@ def test_w_network_rejects_nonpositive_rates():
         builtin_w_network([1, 1, 1], mu, [0, 0, 0], [1, 1, 1], 1)
     with pytest.raises(ModelError):
         builtin_w_network([1, 0, 1], np.array([[1, 0], [1, 2], [0, 1.5]]), [0, 0, 0], [1, 1, 1], 1)
-
-
-def test_nondegeneracy_sampling(ou_uncontrolled, w_network):
-    # 1e3 random (x, z) pairs per model
-    assert verify_nondegeneracy(ou_uncontrolled, 1000) >= ou_uncontrolled.nondeg_floor - 1e-12
-    assert verify_nondegeneracy(w_network, 1000) >= w_network.nondeg_floor - 1e-12
-
-
-def test_lipschitz_samples_bounded(ou_uncontrolled, w_network):
-    assert lipschitz_ratio_samples(ou_uncontrolled) < 100.0
-    assert lipschitz_ratio_samples(w_network) < 100.0
 
 
 def test_check_assumptions_ou_quadratic():

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import re
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -9,9 +12,11 @@ from scipy.interpolate import RegularGridInterpolator
 
 from ersc.discretize import Grid, build_grid
 from ersc.eigensolve import policy_value
+import ersc.simulate as simulate_module
 from ersc.hjb import MarkovPolicy, value_gradient_field
-from ersc.model import ControlSet, DiffusionModel, builtin_ou_lq
+from ersc.model import ControlSet, DiffusionModel, builtin_ou_lq, sigma_times
 from ersc.simulate import (
+    _PREFETCH_MIN_NORMALS,
     SimulationConfig,
     _euler_maruyama,
     _step_normals,
@@ -360,6 +365,14 @@ def test_nonpositive_mem_stride_rejected(stride):
         SimulationConfig(dt=0.5, horizon=1.0, n_paths=1, record_mem=True, mem_stride=stride)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "1"])
+def test_seed_outside_philox_keys_rejected(seed):
+    # -1 and 2**128 used to fail inside the first step; 1.5 ran as seed 1
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
+        SimulationConfig(dt=0.5, horizon=1.0, n_paths=1, seed=seed)
+    SimulationConfig(dt=0.5, horizon=1.0, n_paths=1, seed=2**128 - 1)
+
+
 def test_mem_deterministic_contraction(grid_241):
     m = builtin_ou_lq(a=-1, sigma=1e-3, q=0.0, c=0.0, u_max=0.0, n_controls=1)
     cfg = SimulationConfig(
@@ -482,3 +495,189 @@ def test_one_control_markov_policy_makes_no_lookup(ou_uncontrolled, grid_241, mo
     monkeypatch.setattr(Grid, "nearest_node", no_lookup)
     pol = MarkovPolicy.constant(0, grid_241.n_nodes)
     assert simulate(ou_uncontrolled, pol, cfg, grid=grid_241).digest() == plain
+
+
+def consumed_blocks(monkeypatch, model, cfg, starts, **kwargs):
+    """The normal blocks the stepper hands to Sigma, one per step."""
+    seen = []
+
+    def record(S, xi):
+        seen.append(xi.copy())
+        return sigma_times(S, xi)
+
+    monkeypatch.setattr(simulate_module, "sigma_times", record)
+    _euler_maruyama(model, lambda x: np.zeros(1), cfg, starts, **kwargs)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "n, d, antithetic, n_starts",
+    [
+        (64, 1, False, 1),  # inline
+        (5000, 1, False, 1),  # prefetched
+        (33, 2, False, 1),
+        (2100, 2, False, 1),  # 4200 normals: prefetched
+        (65, 1, True, 1),  # antithetic, odd n
+        (4097, 1, True, 1),
+        (40, 1, False, 3),  # batched starts: N > n
+        (4100, 1, False, 2),
+    ],
+)
+def test_stepper_blocks_equal_step_normals(monkeypatch, n, d, antithetic, n_starts):
+    # five steps: the producer hands off two chunks of two blocks and one of one
+    cfg = SimulationConfig(dt=0.1, horizon=0.5, n_paths=n, seed=17, antithetic=antithetic)
+    starts = np.zeros((n_starts, d))
+    seen = consumed_blocks(monkeypatch, brownian_model(dim=d), cfg, starts)
+    assert len(seen) == cfg.n_steps
+    for k, xi in enumerate(seen):
+        want = np.tile(_step_normals(17, k, n, d, antithetic), (n_starts, 1))
+        assert np.array_equal(xi, want), k
+
+
+def test_frozen_and_dead_paths_read_their_rows_of_the_block(monkeypatch, ou_uncontrolled):
+    # after compaction each moving path still reads its own row of the block
+    cfg = SimulationConfig(dt=0.1, horizon=3.0, n_paths=5000, seed=6)
+    starts = np.array([[1.5]])
+    paths = _euler_maruyama(ou_uncontrolled, lambda x: np.zeros(1), cfg, starts, stop_radius=1.0)
+    seen = consumed_blocks(monkeypatch, ou_uncontrolled, cfg, starts, stop_radius=1.0)
+    steps = np.where(np.isnan(paths.hit), cfg.n_steps, np.rint(paths.hit / cfg.dt))
+    for k, xi in enumerate(seen):
+        rows = np.flatnonzero(steps > k)
+        assert np.array_equal(xi, _step_normals(6, k, cfg.n_paths, 1, False)[rows]), k
+
+
+def threads_during(model, cfg, **kwargs):
+    """Threads alive while ``simulate`` runs (seen from its cost callback) and after it."""
+    during = []
+
+    def cost(x, u):
+        during.append(threading.active_count())
+        return model.cost(x, u)
+
+    simulate(dataclasses.replace(model, cost=cost), None, cfg, **kwargs)
+    return max(during), threading.active_count()
+
+
+def test_producer_thread_only_for_large_free_running_runs(ou_uncontrolled):
+    before = threading.active_count()
+    n = _PREFETCH_MIN_NORMALS
+    small = SimulationConfig(dt=0.1, horizon=1.0, n_paths=n - 1, seed=1)
+    assert threads_during(ou_uncontrolled, small) == (before, before)
+    large = dataclasses.replace(small, n_paths=n)
+    assert threads_during(ou_uncontrolled, large) == (before + 1, before)
+    # paths that freeze at a hit are drawn inline whatever their number
+    seen = []
+
+    def cost(x, u):
+        seen.append(threading.active_count())
+        return ou_uncontrolled.cost(x, u)
+
+    counted = dataclasses.replace(ou_uncontrolled, cost=cost)
+    _euler_maruyama(counted, lambda x: np.zeros(1), large, np.array([[2.0]]), stop_radius=1.0)
+    assert max(seen) == before == threading.active_count()
+
+
+def bounded(call, timeout=60.0):
+    """Run ``call`` on a helper thread; fail instead of hanging if it does not end."""
+    out = {}
+
+    def target():
+        try:
+            out["value"] = call()
+        except Exception as exc:
+            out["error"] = exc
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), "the call did not return: producer not joined?"
+    return out
+
+
+def test_producer_is_joined_on_early_break():
+    # every path turns non-finite at the first step, and the loop breaks at
+    # once; the slow step lets the producer fill the slot and wait first
+    before = threading.active_count()
+    calls = []
+
+    def drift(x, u):
+        calls.append(x.shape[0])
+        time.sleep(0.05)
+        return np.full(np.shape(x), np.inf)
+
+    m = dataclasses.replace(brownian_model(), drift=drift)
+    cfg = SimulationConfig(dt=0.01, horizon=1.0, n_paths=5000, seed=2)
+
+    def run():
+        with np.errstate(invalid="ignore"):
+            return simulate(m, None, cfg)
+
+    ens = bounded(run)["value"]
+    assert calls == [5000] and ens.excluded == 5000
+    assert threading.active_count() == before
+
+
+def test_producer_is_joined_when_a_callback_raises(ou_uncontrolled):
+    before = threading.active_count()
+    calls = []
+
+    def cost(x, u):
+        calls.append(1)
+        if len(calls) == 4:
+            time.sleep(0.05)
+            raise RuntimeError("cost failed at step 3")
+        return ou_uncontrolled.cost(x, u)
+
+    m = dataclasses.replace(ou_uncontrolled, cost=cost)
+    cfg = SimulationConfig(dt=0.01, horizon=1.0, n_paths=5000, seed=2)
+    out = bounded(lambda: simulate(m, None, cfg))
+    assert str(out["error"]) == "cost failed at step 3"
+    assert threading.active_count() == before
+
+
+def test_producer_error_reaches_the_caller(monkeypatch, ou_uncontrolled):
+    before = threading.active_count()
+    drawer = simulate_module._block_drawer
+
+    def failing(*args):
+        draw = drawer(*args)
+
+        def at(step, out):
+            if step == 5:
+                raise FloatingPointError("draw failed at step 5")
+            return draw(step, out)
+
+        return at
+
+    monkeypatch.setattr(simulate_module, "_block_drawer", failing)
+    cfg = SimulationConfig(dt=0.01, horizon=1.0, n_paths=5000, seed=2)
+    with pytest.raises(FloatingPointError, match="draw failed at step 5"):
+        simulate(ou_uncontrolled, None, cfg)
+    assert threading.active_count() == before
+
+
+def test_concurrent_prefetched_runs_under_fast_thread_switching(ou_uncontrolled):
+    # three runs at once, each with its own producer: six threads on fewer
+    # cores, switching every 10 us; a block handed over out of order or
+    # twice would change a digest
+    cfg = SimulationConfig(dt=0.01, horizon=0.2, n_paths=4096, seed=8, antithetic=True)
+    want = simulate(ou_uncontrolled, None, cfg).digest()
+    before = threading.active_count()
+    outs = [{} for _ in range(3)]
+
+    def run(out):
+        out["digest"] = simulate(ou_uncontrolled, None, cfg).digest()
+
+    runners = [threading.Thread(target=run, args=(out,), daemon=True) for out in outs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for runner in runners:
+            runner.start()
+        for runner in runners:
+            runner.join(60.0)
+            assert not runner.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [out.get("digest") for out in outs] == [want] * 3
+    assert threading.active_count() == before
