@@ -91,9 +91,11 @@ class SimulationConfig:
             raise ValueError("n_paths must be >= 1")
         if self.mem_stride < 1:
             raise ValueError("mem_stride must be >= 1")
-        # the seed is the Philox key, a 128-bit unsigned integer
-        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**128:
-            raise ValueError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
+        # the seed is the Philox key, a 128-bit unsigned integer (a bool is not one)
+        seed = self.seed
+        integral = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
+        if not integral or not 0 <= seed < 2**128:
+            raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
 
     @property
     def n_steps(self) -> int:
@@ -154,6 +156,17 @@ def _step_normals(seed: int, step: int, n: int, d: int, antithetic: bool) -> np.
 #    2048              82.3            78.1               79.0
 #    4096             138.0           133.3              114.8
 #   10000             323.6           245.3              208.2
+#
+# Frozen paths shrink the moving rows, and the producer starves again: the
+# twisted hitting-time check on the OU model (R = 1, horizon 12, dt 1e-3,
+# starts 2 and -2), seconds per call, median [IQR], same host:
+#
+#   paths   inline                producer              producer won
+#    4096   2.19 [2.12-2.49]      2.51 [2.47-2.74]       1 of 16 pairs
+#   10000   3.47 [3.36-3.66]      3.12 [3.04-3.31]       9 of 12 pairs
+#
+# A run with a stop radius stays inline: near the gate it loses more than it
+# gains at 10,000 paths, and the bench's check runs 2,000.
 _PREFETCH_MIN_NORMALS = 4096
 # blocks per hand-off: one chunk waits in the slot while the next is drawn,
 # so at most four blocks are drawn ahead of the chunk in use

@@ -266,6 +266,7 @@ SIMULATION = {"dt": 0.01, "horizon": 0.1, "n_paths": 8, "seed": 0, "x0": [0.0]}
         ("eigen", {"grid": {"radii": [6.0, 6.0], "counts": [15, 15]}}),
         ("simulate", {"simulation": dict(SIMULATION, seed=-1)}),
         ("simulate", {"simulation": dict(SIMULATION, seed=1.5)}),
+        ("simulate", {"simulation": dict(SIMULATION, seed=True)}),
     ],
     ids=[
         "zero-C1",
@@ -280,6 +281,7 @@ SIMULATION = {"dt": 0.01, "horizon": 0.1, "n_paths": 8, "seed": 0, "x0": [0.0]}
         "dim-mismatch",
         "seed-negative",
         "seed-fraction",
+        "seed-bool",
     ],
 )
 def test_invalid_config_exit_code(tmp_path, capsys, command, extra):

@@ -365,9 +365,9 @@ def test_nonpositive_mem_stride_rejected(stride):
         SimulationConfig(dt=0.5, horizon=1.0, n_paths=1, record_mem=True, mem_stride=stride)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "1"])
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "1", True])
 def test_seed_outside_philox_keys_rejected(seed):
-    # -1 and 2**128 used to fail inside the first step; 1.5 ran as seed 1
+    # -1 and 2**128 used to fail inside the first step; 1.5 and True ran as seed 1
     with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
         SimulationConfig(dt=0.5, horizon=1.0, n_paths=1, seed=seed)
     SimulationConfig(dt=0.5, horizon=1.0, n_paths=1, seed=2**128 - 1)
