@@ -11,6 +11,10 @@ Subpackages by concern:
     simulate    Euler-Maruyama paths and Monte Carlo estimators
     variational Gibbs-formula oracles and drift-family checks
     cli         command-line orchestration
+
+Importing any module loads numpy only: scipy is imported inside the functions
+that build, factor or traverse a sparse matrix, so the Monte Carlo path never
+pays for it.  Keep new scipy imports there, not at module top.
 """
 
 __version__ = "0.1.0"

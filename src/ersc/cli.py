@@ -59,6 +59,7 @@ from .perturb import (
 )
 from .simulate import (
     SimulationConfig,
+    _is_int,
     check_stochastic_representation,
     estimate_rsc_cost,
     mem_tightness_report,
@@ -248,22 +249,26 @@ def _optional_float(block: dict, key: str) -> Optional[float]:
         raise ConfigError(f"simulation.{key} must be a number: {exc}") from exc
 
 
+def _whole(value):
+    """An integral float as its int (7.0 reads as 7); any other value as given,
+    for the validator to reject rather than truncate (1.5 does not read as 1)."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
 def _sim_config(cfg: dict, model: DiffusionModel, seed) -> SimulationConfig:
     block = _need(cfg, "simulation")
     target_radius = _optional_float(block, "target_radius")
     seed = block.get("seed", 0) if seed is None else seed
-    if isinstance(seed, float) and seed.is_integer():
-        seed = int(seed)  # 7.0 reads as 7; 1.5 is not truncated, SimulationConfig rejects it
     try:
         return SimulationConfig(
             dt=float(block["dt"]),
             horizon=float(block["horizon"]),
-            n_paths=int(block["n_paths"]),
-            seed=seed,
+            n_paths=_whole(block["n_paths"]),
+            seed=_whole(seed),
             x0=block.get("x0", [0.0] * model.dim),
             antithetic=bool(block.get("antithetic", False)),
             record_mem=bool(block.get("record_mem", False)),
-            mem_stride=int(block.get("mem_stride", 10)),
+            mem_stride=_whole(block.get("mem_stride", 10)),
             target_radius=target_radius,
         )
     except (KeyError, ValueError) as exc:
@@ -448,7 +453,10 @@ def _cmd_verify_var(cfg, seed):
     n_spaces = int(block.get("n_spaces", 1000))
     max_atoms = int(block.get("max_atoms", 64))
     f_range = float(block.get("f_range", 20.0))
-    rng = np.random.default_rng(int(seed))
+    seed = _whole(seed)
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"verify.seed must be a non-negative integer, got {seed!r}")
+    rng = np.random.default_rng(seed)
     max_gap = 0.0
     ineq_ok = True
     for _ in range(n_spaces):

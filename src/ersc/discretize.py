@@ -37,8 +37,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Grid",
@@ -141,6 +139,8 @@ def build_grid(radii, counts, node_cap: int = 2_000_000) -> Grid:
 def is_irreducible(Q) -> bool:
     """Whether the stored entries of the sparse matrix Q form one strong component
     (self-loops leave the components unchanged)."""
+    from scipy.sparse.csgraph import connected_components
+
     return connected_components(Q, directed=True, connection="strong")[0] == 1
 
 
@@ -360,6 +360,8 @@ class OperatorKernel:
 
     def _assemble(self, minus: np.ndarray, plus: np.ndarray) -> sp.csr_matrix:
         """Sparse generator from the (n, d) drift rates of ``drift_rates``."""
+        import scipy.sparse as sp
+
         rows, cols, vals = [], [], []
         diag = np.zeros(self.n)
         base = np.arange(self.n, dtype=np.int64)

@@ -46,8 +46,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .discretize import Grid, OperatorKernel, is_irreducible
 
@@ -97,6 +95,8 @@ class FosterCertificate:
 def _edges(Q, r_vec):
     """Q as CSR, its off-diagonal (rows, cols, rates), r_vec plus the row sums of Q
     (reading its diagonal as minus the exit rates) and the ``bracket_floor``."""
+    import scipy.sparse as sp
+
     m = sp.csr_matrix(Q)
     r = np.asarray(r_vec, dtype=float).ravel()
     if r.shape != (m.shape[0],):
@@ -111,6 +111,8 @@ def _edges(Q, r_vec):
 
 def _factor_m_matrix(M):
     """Pivot-free MMD LU of a nonsingular CSC M-matrix (module docstring)."""
+    import scipy.sparse.linalg as spla
+
     return spla.splu(
         M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
     )
@@ -178,6 +180,8 @@ def principal_eigenpair(
         EigenSolveError: at once on a tolerance below the floor, reducible Q
         or non-finite data; after max_iter iterations on non-convergence.
     """
+    import scipy.sparse as sp
+
     m, rows, cols, rates, r, floor = _edges(Q, r_vec)
     n = r.size
     if start is None:

@@ -32,8 +32,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order
 
 from .discretize import Grid, OperatorKernel
 from .eigensolve import _factor_m_matrix
@@ -147,6 +145,9 @@ def solve_poisson(G, f: np.ndarray, origin_node: int):
     irreducible).  One pivot-free LU gives [a, b] = T^-1 [f', 1], b the mean
     hitting times of the origin; rho = (G_o a + f_o) / (1 + G_o b), Psi = a - rho b.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import breadth_first_order
+
     Gm = sp.csr_matrix(G)
     n = Gm.shape[0]
     f = np.asarray(f, dtype=float).ravel()

@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .discretize import Grid
 from .eigensolve import Eigenpair
@@ -70,6 +69,11 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Euler-Maruyama run parameters; a fixed seed gives bit-identical paths."""
@@ -85,17 +89,19 @@ class SimulationConfig:
     target_radius: Optional[float] = None
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon <= 0 or self.dt > self.horizon:
-            raise ValueError("need 0 < dt <= horizon")
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
-        if self.mem_stride < 1:
-            raise ValueError("mem_stride must be >= 1")
-        # the seed is the Philox key, a 128-bit unsigned integer (a bool is not one)
-        seed = self.seed
-        integral = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
-        if not integral or not 0 <= seed < 2**128:
-            raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+        # NaN fails every comparison, so this rejects it too
+        if not 0 < self.dt <= self.horizon < np.inf:
+            raise ValueError(f"need finite 0 < dt <= horizon, got {self.dt!r} and {self.horizon!r}")
+        # counts are not truncated: 8.5 paths is an error, not 8 (a bool is no count)
+        for key in ("n_paths", "mem_stride"):
+            value = getattr(self, key)
+            if not _is_int(value):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1")
+        # the seed is the Philox key, a 128-bit unsigned integer
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
 
     @property
     def n_steps(self) -> int:
@@ -526,6 +532,30 @@ class RscEstimate:
     tail_mass: Optional[float] = None
 
 
+def _logsumexp(a) -> np.float64:
+    """log(sum(exp(a))) of a 1-D real array, bit for bit scipy.special.logsumexp.
+
+    The maxima are split off the sum for precision (Blanchard, Higham & Higham,
+    IMA J. Numer. Anal. 41, 2021): s is the sum of exp(a - max) over the rest,
+    divided by the count m of maxima, and the result log1p(s) + log(m) + max.
+    A non-finite result (an infinite or NaN maximum) is replaced by the direct
+    log(sum(exp(a))), which is -inf for all -inf input.
+    """
+    a = np.asarray(a, dtype=float)
+    a_max = a.max()
+    at_max = a == a_max
+    m = np.sum(at_max, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max))
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+    if not np.isfinite(out):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = np.log(np.sum(np.exp(a)))
+    return out
+
+
 def _log_mean_exp_rate(S: np.ndarray, T: float):
     """(1/T) log mean exp(S) and its delta-method standard error."""
     n = S.size
@@ -554,8 +584,8 @@ def estimate_rsc_cost(ensemble: PathEnsemble, truncation_L: Optional[float] = No
     keep = S <= truncation_L * T
     if not np.any(keep):
         raise ValueError("truncation removed every path")
-    trunc = (logsumexp(S[keep]) - np.log(S.size)) / T
-    tail = float(np.exp(logsumexp(S[~keep]) - logsumexp(S))) if np.any(~keep) else 0.0
+    trunc = (_logsumexp(S[keep]) - np.log(S.size)) / T
+    tail = float(np.exp(_logsumexp(S[~keep]) - _logsumexp(S))) if np.any(~keep) else 0.0
     return RscEstimate(estimate=est, stderr=stderr, truncated_estimate=trunc, tail_mass=tail)
 
 

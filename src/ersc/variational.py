@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .discretize import Grid
 from .eigensolve import policy_value
-from .simulate import SimulationConfig, importance_sampled_cost, simulate
+from .simulate import SimulationConfig, _logsumexp, importance_sampled_cost, simulate
 
 __all__ = [
     "FiniteNoiseSpace",
@@ -68,7 +67,7 @@ def kl_divergence(q: np.ndarray, p: np.ndarray) -> float:
 def tilted_optimizer(space: FiniteNoiseSpace, f: np.ndarray) -> np.ndarray:
     """The exact Gibbs maximizer q_i ~ p_i e^{f_i}."""
     logq = np.log(space.probs) + np.asarray(f, dtype=float)
-    return np.exp(logq - logsumexp(logq))
+    return np.exp(logq - _logsumexp(logq))
 
 
 def gibbs_identity_check(space: FiniteNoiseSpace, f) -> tuple:
@@ -82,7 +81,7 @@ def gibbs_identity_check(space: FiniteNoiseSpace, f) -> tuple:
         raise ValueError("f must assign one value per atom")
     if not np.all(np.isfinite(f)):
         raise ValueError("f must be finite")
-    lhs = float(logsumexp(np.log(space.probs) + f))
+    lhs = float(_logsumexp(np.log(space.probs) + f))
     q = tilted_optimizer(space, f)
     rhs = float(q @ f - kl_divergence(q, space.probs))
     return lhs, rhs, abs(lhs - rhs)

@@ -267,6 +267,14 @@ SIMULATION = {"dt": 0.01, "horizon": 0.1, "n_paths": 8, "seed": 0, "x0": [0.0]}
         ("simulate", {"simulation": dict(SIMULATION, seed=-1)}),
         ("simulate", {"simulation": dict(SIMULATION, seed=1.5)}),
         ("simulate", {"simulation": dict(SIMULATION, seed=True)}),
+        ("verify-var", {"verify": {"n_spaces": 10, "seed": 1.5}}),
+        ("verify-var", {"verify": {"n_spaces": 10, "seed": True}}),
+        ("verify-var", {"verify": {"n_spaces": 10, "seed": "1"}}),
+        ("verify-var", {"verify": {"n_spaces": 10, "seed": -1}}),
+        ("simulate", {"simulation": dict(SIMULATION, horizon=float("inf"))}),
+        ("simulate", {"simulation": dict(SIMULATION, dt=float("nan"))}),
+        ("simulate", {"simulation": dict(SIMULATION, n_paths=8.5)}),
+        ("simulate", {"simulation": dict(SIMULATION, record_mem=True, mem_stride=2.5)}),
     ],
     ids=[
         "zero-C1",
@@ -282,6 +290,14 @@ SIMULATION = {"dt": 0.01, "horizon": 0.1, "n_paths": 8, "seed": 0, "x0": [0.0]}
         "seed-negative",
         "seed-fraction",
         "seed-bool",
+        "verify-seed-fraction",
+        "verify-seed-bool",
+        "verify-seed-text",
+        "verify-seed-negative",
+        "horizon-inf",
+        "dt-nan",
+        "n-paths-fraction",
+        "mem-stride-fraction",
     ],
 )
 def test_invalid_config_exit_code(tmp_path, capsys, command, extra):
@@ -327,6 +343,19 @@ def test_verify_var_report_records_its_seed(tmp_path):
     assert report["seed"] == 0
     assert json.loads((tmp_path / "out" / "report.json").read_text())["seed"] == 0
     assert run("verify-var", path, out_dir=tmp_path / "o2", seed=3)["seed"] == 3
+
+
+def test_integral_floats_read_as_ints(tmp_path):
+    # 7.0 reads as 7; only a fraction is an error
+    path = write_cfg(tmp_path, {"verify": {"n_spaces": 20, "seed": 7.0}})
+    as_float = run("verify-var", path, out_dir=tmp_path / "vf")["results"]
+    assert as_float == run("verify-var", path, out_dir=tmp_path / "vi", seed=7)["results"]
+    sim = dict(SIMULATION, n_paths=8.0, seed=3.0, record_mem=True, mem_stride=2.0)
+    path = write_cfg(tmp_path, {"simulation": sim}, base=OU_61)
+    whole = run("simulate", path, out_dir=tmp_path / "sf")["results"]["digest"]
+    sim = dict(SIMULATION, n_paths=8, seed=3, record_mem=True, mem_stride=2)
+    path = write_cfg(tmp_path, {"simulation": sim}, base=OU_61)
+    assert whole == run("simulate", path, out_dir=tmp_path / "si")["results"]["digest"]
 
 
 def test_simulation_without_seed_reports_seed_zero(tmp_path):

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
+import json
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
@@ -9,7 +12,9 @@ import warnings
 import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
+from scipy.special import logsumexp as scipy_logsumexp
 
+import ersc
 from ersc.discretize import Grid, build_grid
 from ersc.eigensolve import policy_value
 import ersc.simulate as simulate_module
@@ -19,6 +24,7 @@ from ersc.simulate import (
     _PREFETCH_MIN_NORMALS,
     SimulationConfig,
     _euler_maruyama,
+    _logsumexp,
     _step_normals,
     check_stochastic_representation,
     estimate_rsc_cost,
@@ -371,6 +377,133 @@ def test_seed_outside_philox_keys_rejected(seed):
     with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
         SimulationConfig(dt=0.5, horizon=1.0, n_paths=1, seed=seed)
     SimulationConfig(dt=0.5, horizon=1.0, n_paths=1, seed=2**128 - 1)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (dict(dt=float("nan")), "need finite 0 < dt <= horizon"),
+        (dict(horizon=float("inf")), "need finite 0 < dt <= horizon"),
+        (dict(dt=float("inf"), horizon=float("inf")), "need finite 0 < dt <= horizon"),
+        (dict(n_paths=8.5), "n_paths must be an integer"),
+        (dict(n_paths=8.0), "n_paths must be an integer"),
+        (dict(n_paths=True), "n_paths must be an integer"),
+        (dict(n_paths="8"), "n_paths must be an integer"),
+        (dict(mem_stride=2.5), "mem_stride must be an integer"),
+        (dict(mem_stride=True), "mem_stride must be an integer"),
+    ],
+)
+def test_non_finite_times_and_non_integer_counts_rejected(bad, message):
+    # inf used to overflow in n_steps, NaN to fail in int(), and 8.5 paths ran as 8
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SimulationConfig(**dict(dict(dt=0.5, horizon=1.0, n_paths=8), **bad))
+    SimulationConfig(dt=0.5, horizon=1.0, n_paths=np.int64(8), mem_stride=np.int32(2))
+
+
+def _bits(x):
+    return type(x), np.asarray(x).tobytes()
+
+
+def _quiet_logsumexp(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _logsumexp(a)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 1000, 10000])
+@pytest.mark.parametrize("scale", [1.0, 50.0, 800.0])
+def test_logsumexp_equals_scipy_bit_for_bit(size, scale):
+    rng = np.random.default_rng(size)
+    a = scale * rng.standard_normal(size)
+    cases = [a]
+    if size > 1:
+        picks = rng.integers(size, size=max(2, size // 10))
+        tied, holes = a.copy(), a.copy()
+        tied[picks] = a.max()
+        holes[picks[1:]] = -np.inf
+        cases += [tied, holes]
+    for x in cases:
+        assert _bits(_quiet_logsumexp(x)) == _bits(scipy_logsumexp(x))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [-np.inf],
+        [-np.inf, -np.inf, -np.inf],
+        [np.inf, 0.0],
+        [np.inf, np.inf, -np.inf],
+        [np.nan, 0.0],
+        [0.0, np.nan, np.inf],
+        [-np.inf, 0.0, -np.inf],
+        [3.0, 3.0],
+    ],
+    ids=["one-neg-inf", "all-neg-inf", "pos-inf", "two-pos-inf", "nan-first", "nan-and-inf",
+         "neg-inf-entries", "tie"],
+)
+def test_logsumexp_non_finite_cases_equal_scipy(a):
+    # all -inf: the split-off formula gives NaN, scipy's fallback gives -inf
+    a = np.array(a, dtype=float)
+    with np.errstate(all="ignore"):
+        expected = scipy_logsumexp(a)
+    assert _bits(_quiet_logsumexp(a)) == _bits(expected)
+
+
+def test_truncated_estimate_equals_scipy_logsumexp(ou_uncontrolled):
+    cfg = SimulationConfig(dt=0.01, horizon=2.0, n_paths=10_000, seed=11, x0=[2.0])
+    ens = simulate(ou_uncontrolled, None, cfg)
+    est = estimate_rsc_cost(ens, truncation_L=1.5)
+    S, T = ens.cost_integral, cfg.horizon
+    keep = S <= 1.5 * T
+    assert 0 < (~keep).sum() < S.size
+    plain = estimate_rsc_cost(ens)
+    assert (est.estimate, est.stderr) == (plain.estimate, plain.stderr)
+    trunc = (scipy_logsumexp(S[keep]) - np.log(S.size)) / T
+    tail = float(np.exp(scipy_logsumexp(S[~keep]) - scipy_logsumexp(S)))
+    assert _bits(est.truncated_estimate) == _bits(trunc)
+    assert _bits(est.tail_mass) == _bits(tail)
+
+
+def test_monte_carlo_path_never_imports_scipy(tmp_path):
+    # the test process already holds scipy, so a fresh interpreter checks the rule
+    config = {
+        "model": {
+            "name": "ou_lq",
+            "params": {"a": -1.0, "sigma": 1.0, "q": 0.75, "c": 0.0, "u_max": 0.0, "n_controls": 1},
+        },
+        "simulation": {"dt": 0.1, "horizon": 1.0, "n_paths": 64, "x0": [1.0], "truncation_L": 0.5},
+        "verify": {"n_spaces": 20},
+    }
+    (tmp_path / "mc.yaml").write_text(json.dumps(config))  # JSON is YAML
+    code = """
+import sys
+import numpy as np
+import ersc.cli
+from ersc.model import builtin_ou_lq
+from ersc.simulate import SimulationConfig, estimate_rsc_cost, simulate
+from ersc.variational import FiniteNoiseSpace, gibbs_identity_check
+m = builtin_ou_lq(a=-1.0, sigma=1.0, q=0.75, c=0.0, u_max=0.0, n_controls=1)
+cfg = SimulationConfig(dt=0.1, horizon=1.0, n_paths=64, seed=1, x0=[1.0])
+ens = simulate(m, None, cfg)
+est = estimate_rsc_cost(ens, truncation_L=float(np.median(ens.cost_integral)) / cfg.horizon)
+assert 0.0 < est.tail_mass < 1.0
+assert gibbs_identity_check(FiniteNoiseSpace([0.25, 0.75]), [1.0, -2.0])[2] < 1e-12
+for command in ("simulate", "verify-var"):
+    assert ersc.cli.main([command, "--config", "mc.yaml", "--out", command]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    src = os.path.dirname(os.path.dirname(ersc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_mem_deterministic_contraction(grid_241):

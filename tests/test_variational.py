@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 
 from ersc.discretize import build_grid
 from ersc.simulate import SimulationConfig, simulate
@@ -42,6 +43,19 @@ def test_gibbs_identity_random_battery():
         _, _, gap = gibbs_identity_check(FiniteNoiseSpace(p), f)
         worst = max(worst, gap)
     assert worst <= 1e-12
+
+
+def test_gibbs_sides_equal_scipy_logsumexp_bit_for_bit():
+    # the log-sum-exp is numpy-only; scipy stays the oracle
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        m = int(rng.integers(2, 65))
+        space = FiniteNoiseSpace(rng.dirichlet(np.ones(m)))
+        f = rng.uniform(-20.0, 20.0, size=m)
+        logq = np.log(space.probs) + f
+        expected = np.exp(logq - scipy_logsumexp(logq))
+        assert tilted_optimizer(space, f).tobytes() == expected.tobytes()
+        assert gibbs_identity_check(space, f)[0] == float(scipy_logsumexp(logq))
 
 
 def test_gibbs_inequality_direction():
