@@ -120,7 +120,7 @@ def build_model(cfg: dict) -> DiffusionModel:
                 q=float(params.get("q", 0.0)),
                 c=float(params.get("c", 0.0)),
                 u_max=float(params.get("u_max", 0.0)),
-                n_controls=int(params.get("n_controls", 1)),
+                n_controls=_integer(params, "n_controls", 1, "model.params"),
             )
         if name == "w_network":
             return builtin_w_network(
@@ -128,7 +128,7 @@ def build_model(cfg: dict) -> DiffusionModel:
                 service_rates=np.asarray(params["service_rates"], dtype=float),
                 l_vec=params["l_vec"],
                 cost_weights=params["cost_weights"],
-                n_controls=int(params.get("n_controls", 1)),
+                n_controls=_integer(params, "n_controls", 1, "model.params"),
                 idle_weights=params.get("idle_weights"),
                 region_delta=float(params.get("region_delta", 0.2)),
             )
@@ -200,7 +200,7 @@ def _setup(cfg: dict):
     block = cfg.get("solver", {})
     opts = {
         "tol": float(block.get("tol", 1e-8)),
-        "max_iter": int(block.get("max_iter", 100)),
+        "max_iter": _integer(block, "max_iter", 100, "solver"),
         "scheme": block.get("scheme", "hybrid"),
     }
     return model, grid, opts
@@ -210,7 +210,7 @@ def _policy_from_cfg(cfg: dict, model: DiffusionModel, grid: Grid) -> MarkovPoli
     block = cfg.get("policy", {"type": "constant", "index": 0})
     kind = block.get("type", "constant")
     if kind == "constant":
-        idx = int(block.get("index", 0))
+        idx = _integer(block, "index", 0, "policy", low=0)
         if not (0 <= idx < model.controls.n_controls):
             raise ConfigError(f"policy index {idx} out of range")
         return MarkovPolicy.constant(idx, grid.n_nodes)
@@ -253,6 +253,16 @@ def _whole(value):
     """An integral float as its int (7.0 reads as 7); any other value as given,
     for the validator to reject rather than truncate (1.5 does not read as 1)."""
     return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+def _integer(block: dict, key: str, default: int, context: str, low: int = 1) -> int:
+    """``block[key]`` (``default`` when absent) through ``_whole``; a fraction,
+    bool or text, or a value below ``low``, raises ConfigError rather than
+    being truncated (a count of 0 spaces or points would check nothing)."""
+    value = _whole(block.get(key, default))
+    if not _is_int(value) or value < low:
+        raise ConfigError(f"{context}.{key} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def _sim_config(cfg: dict, model: DiffusionModel, seed) -> SimulationConfig:
@@ -450,8 +460,8 @@ def _cmd_simulate(cfg, seed):
 
 def _cmd_verify_var(cfg, seed):
     block = cfg.get("verify", {})
-    n_spaces = int(block.get("n_spaces", 1000))
-    max_atoms = int(block.get("max_atoms", 64))
+    n_spaces = _integer(block, "n_spaces", 1000, "verify")
+    max_atoms = _integer(block, "max_atoms", 64, "verify", low=2)
     f_range = float(block.get("f_range", 20.0))
     seed = _whole(seed)
     if not _is_int(seed) or seed < 0:
@@ -487,7 +497,7 @@ def _cmd_check_assumptions(cfg, seed):
     if len(constants) != 3:
         raise ConfigError("assumptions.constants must be [C1, C2, C3]")
     coords = grid.coords()
-    stride = max(1, coords.shape[0] // int(block.get("max_points", 2000)))
+    stride = max(1, coords.shape[0] // _integer(block, "max_points", 2000, "assumptions"))
     samples = [(x, u) for x in coords[::stride] for u in model.controls.points]
     report = check_assumptions(model, lyap, hbar, constants, samples)
     results = {

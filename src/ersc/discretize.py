@@ -9,12 +9,11 @@ matrix is the rate matrix of a continuous-time Markov chain: off-diagonal
 entries nonnegative, rows summing to zero.  Second derivatives use central
 differences; mixed derivatives use the sign-aware corner splitting, which
 fails loudly when it cannot keep off-diagonals nonnegative.  First-order
-terms are differenced per the ``scheme`` argument:
+terms are differenced per the ``scheme`` argument, monotone either way:
 
     "hybrid"  central where the diffusion strictly dominates the cell drift
               (second-order, no rate vanishes), upwind elsewhere;
-    "upwind"  one-sided on the sign of b_i (first-order, always monotone);
-    "central" central everywhere, raising if monotonicity fails.
+    "upwind"  one-sided on the sign of b_i (first-order).
 
 One list of stencil edges (axial +/- per axis, four corner edges per
 correlated axis pair) drives both sparse assembly and direct row-application
@@ -48,7 +47,7 @@ __all__ = [
 
 
 class GridSchemeError(RuntimeError):
-    """Raised when the difference scheme cannot preserve monotonicity."""
+    """Raised when the mixed-derivative splitting cannot preserve monotonicity."""
 
 
 @dataclass(frozen=True)
@@ -173,14 +172,10 @@ class OperatorKernel:
     ``drift_table + aux`` on every call, and the game's held-policy row
     materialise it.  Assembly returns a plain ``scipy.sparse.csr_matrix``.
     A grid whose dimension differs from the model's raises ValueError.
-
-    Under ``scheme="central"`` the monotonicity check runs on the rates a
-    result uses: every control for ``control_rows`` and for a relaxed policy,
-    the picked control per node for a precise policy.
     """
 
     def __init__(self, model, grid: Grid, scheme: str = "hybrid"):
-        if scheme not in ("hybrid", "upwind", "central"):
+        if scheme not in ("hybrid", "upwind"):
             raise ValueError(f"unknown scheme {scheme!r}")
         if grid.dim != model.dim:
             raise ValueError(
@@ -262,7 +257,7 @@ class OperatorKernel:
         """(minus, plus) drift rates of every control, (k, n, d) each.
 
         Differenced once, on first use, from the model's drift table, which
-        is not kept.  Not checked for monotonicity here; see ``_checked``.
+        is not kept.
         """
         return self._difference(self.model.drift_table(self.coords))
 
@@ -277,35 +272,18 @@ class OperatorKernel:
         b = np.asarray(b_vals, dtype=float)
         if b.ndim < 3:
             b = b.reshape(self.n, self.dim)
-        return self._checked(*self._difference(b))
+        return self._difference(b)
 
     def _difference(self, b: np.ndarray):
         # one division; halving b / h is exact, so the central rates equal
         # b / (2 h) bit for bit
         bh = b / self.h
-        if self.scheme == "central":
-            half = bh * 0.5
-            return -half, half
         minus, plus = np.maximum(-bh, 0.0), np.maximum(bh, 0.0)
         if self.scheme == "upwind":
             return minus, plus
         central = np.abs(b) < self.q_ax_2h
         half = bh * 0.5
         return np.where(central, -half, minus), np.where(central, half, plus)
-
-    def _checked(self, minus: np.ndarray, plus: np.ndarray):
-        """The rates unchanged; raises under ``scheme="central"`` where a
-        rate would make an off-diagonal entry negative."""
-        if self.scheme == "central":
-            viol = np.minimum(self.q_ax + plus, self.q_ax + minus)
-            bad = np.argwhere(viol < -1e-14)
-            if bad.size:
-                node = int(bad[0][-2])
-                raise GridSchemeError(
-                    f"central drift differencing loses monotonicity at node {node} "
-                    f"(x={self.coords[node]}); use scheme='hybrid' or refine the grid"
-                )
-        return minus, plus
 
     # -- application to a vector --------------------------------------------
 
@@ -326,7 +304,7 @@ class OperatorKernel:
         """
         V = np.asarray(V, dtype=float)
         if b_vals is None:
-            minus, plus = self._checked(*self.control_rates)
+            minus, plus = self.control_rates
         else:
             minus, plus = self.drift_rates(b_vals)
         out = np.zeros(plus.shape[:-1])
@@ -394,9 +372,6 @@ class OperatorKernel:
         """
         if aux_drift is None:
             minus, plus = self.control_rates
-            if not policy.is_relaxed:
-                return self._assemble(*self._checked(policy.pick(minus), policy.pick(plus)))
-            self._checked(minus, plus)  # every control enters the mix
         else:
             b_all = self._with_aux(aux_drift)
             if not policy.is_relaxed:

@@ -448,36 +448,12 @@ class QuadraticLyapLog:
         return self.Q + self.Q.T
 
 
-def _fd_grad(f, x, h):
-    d = x.shape[-1]
-    g = np.zeros(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2 * h)
-    return g
-
-
-def _fd_hess(f, x, h):
-    # forward outer difference of central gradients: symmetric only for C^2
-    # candidates, so the asymmetry check below can flag kinks
-    d = x.shape[-1]
-    g0 = _fd_grad(f, x, h)
-    H = np.zeros((d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        H[i] = (_fd_grad(f, x + e, h) - g0) / h
-    return H
-
-
 def check_assumptions(
     model: DiffusionModel,
     lyap_log,
     hbar: Callable[[np.ndarray, np.ndarray], np.ndarray],
     constants: tuple,
     sample_points: Sequence[tuple],
-    fd_step: float = 1e-4,
 ) -> AssumptionReport:
     """Certify the mixed drift inequalities pointwise on user samples.
 
@@ -486,15 +462,12 @@ def check_assumptions(
         L^u F(x) + |Sigma(x)' grad F(x)|^2 / 2  <=  C1 - hbar(x,u)   off K,
         L^u F(x) + |Sigma(x)' grad F(x)|^2 / 2  <=  C2 + C3 r(x,u)   on K,
 
-    recorded as slack = RHS - LHS at each sample.  ``lyap_log`` is either a
-    plain callable (derivatives by finite differences) or an object exposing
-    exact ``grad``/``hess`` evaluators.
+    recorded as slack = RHS - LHS at each sample.  ``lyap_log`` must expose
+    exact ``grad``/``hess`` evaluators, as ``QuadraticLyapLog`` does.
 
     Raises:
-        ModelError: if C3 >= 1 or a finite-difference Hessian fails its
-            two-step stability check: the Hessians at steps h and h/2
-            differing, or the h/2 one asymmetric, by more than 1e-3 times
-            max(1, max |H_{h/2}|) (non-smooth candidate).
+        ModelError: if C3 is outside (0, 1), C1 or C2 is nonpositive, or
+            ``lyap_log`` lacks ``grad`` or ``hess``.
     """
     C1, C2, C3 = (float(c) for c in constants)
     if not (0 < C3 < 1):
@@ -502,7 +475,11 @@ def check_assumptions(
     if min(C1, C2) <= 0:
         raise ModelError("C1, C2 must be positive")
 
-    has_exact = hasattr(lyap_log, "grad") and hasattr(lyap_log, "hess")
+    missing = [name for name in ("grad", "hess") if not hasattr(lyap_log, name)]
+    if missing:
+        raise ModelError(
+            f"log-Lyapunov candidate lacks exact {' and '.join(missing)} evaluator(s)"
+        )
     violations = []
     worst = math.inf
     worst_pt = None
@@ -510,22 +487,8 @@ def check_assumptions(
     for x, u in sample_points:
         x = np.asarray(x, dtype=float).reshape(model.dim)
         u = np.asarray(u, dtype=float)
-        if has_exact:
-            g = np.asarray(lyap_log.grad(x), dtype=float)
-            H = np.asarray(lyap_log.hess(x), dtype=float)
-        else:
-            g = _fd_grad(lyap_log, x, fd_step)
-            H = _fd_hess(lyap_log, x, fd_step)
-            H2 = _fd_hess(lyap_log, x, fd_step / 2.0)
-            scale = max(1.0, float(np.max(np.abs(H2))))
-            drift_h = float(np.max(np.abs(H - H2)))
-            asym = float(np.max(np.abs(H2 - H2.T)))
-            if max(drift_h, asym) > 1e-3 * scale:
-                raise ModelError(
-                    f"finite-difference Hessian unstable/asymmetric at x={x}: "
-                    "log-Lyapunov candidate does not look twice differentiable"
-                )
-            H = H2
+        g = np.asarray(lyap_log.grad(x), dtype=float)
+        H = np.asarray(lyap_log.hess(x), dtype=float)
         A = model.diffusion_matrix(x)
         b = np.asarray(model.drift(x, u), dtype=float)
         gen = float(b @ g + 0.5 * np.sum(A * H))

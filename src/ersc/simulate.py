@@ -92,6 +92,11 @@ class SimulationConfig:
         # NaN fails every comparison, so this rejects it too
         if not 0 < self.dt <= self.horizon < np.inf:
             raise ValueError(f"need finite 0 < dt <= horizon, got {self.dt!r} and {self.horizon!r}")
+        # a subnormal dt can overflow the step count though both values are finite
+        if not self.horizon / self.dt < np.inf:
+            raise ValueError(
+                f"horizon / dt overflows the step count, got {self.horizon!r} / {self.dt!r}"
+            )
         # counts are not truncated: 8.5 paths is an error, not 8 (a bool is no count)
         for key in ("n_paths", "mem_stride"):
             value = getattr(self, key)

@@ -275,6 +275,12 @@ SIMULATION = {"dt": 0.01, "horizon": 0.1, "n_paths": 8, "seed": 0, "x0": [0.0]}
         ("simulate", {"simulation": dict(SIMULATION, dt=float("nan"))}),
         ("simulate", {"simulation": dict(SIMULATION, n_paths=8.5)}),
         ("simulate", {"simulation": dict(SIMULATION, record_mem=True, mem_stride=2.5)}),
+        ("verify-var", {"verify": {"n_spaces": 20.7}}),
+        ("verify-var", {"verify": {"n_spaces": -5}}),
+        ("check-assumptions", {"assumptions": dict(ASSUMPTIONS, max_points=0)}),
+        ("eigen", {"solver": {"tol": 1e-8, "max_iter": 60.5}}),
+        ("simulate", {"simulation": dict(SIMULATION, dt=1.0e-320, horizon=1.0e10)}),
+        ("eigen", {"solver": {"scheme": "central"}}),
     ],
     ids=[
         "zero-C1",
@@ -298,6 +304,12 @@ SIMULATION = {"dt": 0.01, "horizon": 0.1, "n_paths": 8, "seed": 0, "x0": [0.0]}
         "dt-nan",
         "n-paths-fraction",
         "mem-stride-fraction",
+        "verify-n-spaces-fraction",
+        "verify-n-spaces-negative",
+        "max-points-zero",
+        "max-iter-fraction",
+        "steps-overflow",
+        "scheme-central",
     ],
 )
 def test_invalid_config_exit_code(tmp_path, capsys, command, extra):

@@ -94,9 +94,6 @@ def test_hybrid_falls_back_to_upwind():
     gm = kernel.assemble(m.drift(kernel.coords, m.controls.points[0]))
     assert (gm - sp.diags(gm.diagonal())).min() >= 0.0
     assert np.max(np.abs(gm.sum(axis=1))) <= 1e-12
-    kernel = OperatorKernel(m, g, "central")
-    with pytest.raises(GridSchemeError):
-        kernel.assemble(m.drift(kernel.coords, m.controls.points[0]))
 
 
 def test_hybrid_tie_keeps_every_edge(ou_uncontrolled):
@@ -313,22 +310,6 @@ def test_apply_matches_assembled_matrix():
             aux = rng.normal(scale=2.0, size=(g.n_nodes, g.dim))
             assert np.array_equal(kernel.control_rows(V, aux), kernel.apply(table + aux, V))
 
-    # a central-scheme monotonicity failure raised from the stacked rows names
-    # the same node as the first failing control on its own
-    kernel = OperatorKernel(lq, g1, "central")
-    b_all = 4.0 * lq.drift_table(kernel.coords)
-    V = np.ones(g1.n_nodes)
-    single = []
-    for b in b_all:
-        try:
-            kernel.apply(b, V)
-        except GridSchemeError as exc:
-            single.append(str(exc))
-    assert single
-    with pytest.raises(GridSchemeError, match=r"at node \d+ \(x=") as info:
-        kernel.apply(b_all, V)
-    assert str(info.value) == single[0]
-
 
 def _where_rates(kernel, b):
     """Drift rates by the two-branch formulas, the reference for the
@@ -336,8 +317,6 @@ def _where_rates(kernel, b):
     h = kernel.h
     if kernel.scheme == "upwind":
         central = np.zeros_like(b, dtype=bool)
-    elif kernel.scheme == "central":
-        central = np.ones_like(b, dtype=bool)
     else:
         central = np.abs(b) < 2.0 * h * kernel.q_ax
     plus = np.where(central, b / (2.0 * h), np.maximum(b, 0.0) / h)
@@ -350,7 +329,7 @@ def test_drift_rates_bit_identical_to_where_formulas(ou_uncontrolled):
     corr = make_2d_correlated(np.linalg.cholesky(np.array([[1.0, 0.3], [0.3, 0.8]])))
     rng = np.random.default_rng(5)
     for m, g in ((ou_uncontrolled, build_grid([3.0], [13])), (corr, build_grid([1.0, 1.0], [9, 11]))):
-        for scheme in ("hybrid", "upwind", "central"):
+        for scheme in ("hybrid", "upwind"):
             kernel = OperatorKernel(m, g, scheme)
             cap = 2.0 * kernel.h * kernel.q_ax
             zeros = np.zeros((g.n_nodes, g.dim))
@@ -358,9 +337,6 @@ def test_drift_rates_bit_identical_to_where_formulas(ou_uncontrolled):
                 [m.drift_table(kernel.coords)[0], zeros, -zeros, cap, -cap,
                  rng.normal(scale=3.0, size=(g.n_nodes, g.dim))]
             )
-            if scheme == "central":
-                # monotone fields only: |b| <= 2 h q_ax
-                b_all = np.clip(b_all, -cap, cap)
             for b in (b_all, *b_all):
                 got, want = kernel.drift_rates(b), _where_rates(kernel, b)
                 assert all(np.array_equal(x, y) for x, y in zip(got, want))
@@ -376,7 +352,7 @@ def test_kernel_owned_rates_match_drift_table():
         precise = MarkovPolicy(rng.integers(k, size=n))
         relaxed = MarkovPolicy(rng.dirichlet(np.ones(k), size=n))
         V = rng.uniform(0.5, 2.0, size=n)
-        for scheme in ("hybrid", "upwind", "central"):
+        for scheme in ("hybrid", "upwind"):
             own = OperatorKernel(m, g, scheme)
             # a second kernel that differences the table itself on every call
             ref = OperatorKernel(m, g, scheme)
@@ -391,27 +367,3 @@ def test_kernel_owned_rates_match_drift_table():
             assert np.array_equal(Q.toarray(), want.toarray())
             # the rates replace the table, they are not kept beside it
             assert "drift_table" not in own.__dict__
-
-
-def test_central_scheme_checks_the_controls_in_use():
-    # controls u = -2, 0, 2 on h = 0.5 with q_ax = 2: only u = 0 keeps
-    # |b| <= 2 h q_ax at every node
-    m = builtin_ou_lq(a=-0.5, sigma=1.0, q=1.0, c=1.0, u_max=2.0, n_controls=3)
-    g = build_grid([3.0], [13])
-    n = g.n_nodes
-    kernel = OperatorKernel(m, g, "central")
-    table = m.drift_table(kernel.coords)
-    ok = MarkovPolicy.constant(1, n)
-    assert np.array_equal(
-        kernel.assemble_policy(ok).toarray(), kernel.assemble(table[1]).toarray()
-    )
-    with pytest.raises(GridSchemeError) as single:
-        kernel.assemble(table[2])
-    with pytest.raises(GridSchemeError) as picked:
-        kernel.assemble_policy(MarkovPolicy.constant(2, n))
-    assert str(picked.value) == str(single.value)
-    # every control enters the rows and a relaxed policy's mix
-    with pytest.raises(GridSchemeError):
-        kernel.control_rows(np.ones(n))
-    with pytest.raises(GridSchemeError):
-        kernel.assemble_policy(MarkovPolicy(np.eye(3)[np.ones(n, dtype=int)]))

@@ -135,15 +135,6 @@ def test_check_assumptions_ou_quadratic():
     assert report.worst_slack > 0
 
 
-def test_check_assumptions_finite_difference_path():
-    m = builtin_ou_lq(a=-1.0, sigma=1.0, q=0.75, c=0.0, u_max=0.0, n_controls=1)
-    lyap = lambda x: 0.125 * float(np.sum(np.asarray(x) ** 2))
-    xs = np.linspace(-6, 6, 13).reshape(-1, 1)
-    samples = [(x, m.controls.points[0]) for x in xs]
-    report = check_assumptions(m, lyap, hbar=lambda x, u: 0.0 * np.sum(x), constants=(1.0, 1.0, 0.5), sample_points=samples)
-    assert report.ok
-
-
 def test_check_assumptions_zero_cost_slacks():
     # with r = 0 and a flat candidate the slack is exactly C1 or C2 per side
     m = builtin_ou_lq(a=-1.0, sigma=1.0, q=0.0, c=0.0, u_max=0.0, n_controls=1)
@@ -171,16 +162,9 @@ def test_check_assumptions_rejects_bad_c3():
     m = builtin_ou_lq(a=-1.0, sigma=1.0, q=0.75, c=0.0, u_max=0.0, n_controls=1)
     with pytest.raises(ModelError):
         check_assumptions(m, QuadraticLyapLog([[0.1]]), lambda x, u: 0.0, (1, 1, 1.0), [])
-
-
-def test_check_assumptions_flags_nonsmooth_candidate():
-    m2 = builtin_w_network(
-        [1, 1, 1], np.array([[1.0, 0], [1, 2], [0, 1.5]]), [0, 0, 0], [1, 1, 1], 1
-    )
-    kink = lambda x: float(max(np.asarray(x)[0], 0.0) * np.asarray(x)[1])
-    samples = [(np.array([5e-5, 0.3, 0.1]), m2.controls.points[0])]
-    with pytest.raises(ModelError, match="twice differentiable"):
-        check_assumptions(m2, kink, lambda x, u: 0.0, (1, 1, 0.5), samples, fd_step=1e-4)
+    # a candidate without exact derivatives is refused, not differenced
+    with pytest.raises(ModelError, match="grad and hess"):
+        check_assumptions(m, lambda x: 0.1 * float(np.sum(x**2)), lambda x, u: 0.0, (1, 1, 0.5), [])
 
 
 def test_w_network_assumption_constants(w_network):
