@@ -171,8 +171,7 @@ def _affine_quadratic_model(params: dict) -> DiffusionModel:
             + c0
         )
 
-    floor = float(np.min(np.linalg.eigvalsh(Sigma @ Sigma.T)))
-    if floor <= 0:
+    if float(np.min(np.linalg.eigvalsh(Sigma @ Sigma.T))) <= 0:
         raise ConfigError("declared sigma is degenerate")
     return DiffusionModel(
         dim=dim,
@@ -181,7 +180,6 @@ def _affine_quadratic_model(params: dict) -> DiffusionModel:
         cost=cost,
         controls=controls,
         region_K=RegionSpec.full_space(),
-        nondeg_floor=floor,
         name="affine_quadratic",
     )
 
@@ -267,8 +265,6 @@ def _integer(block: dict, key: str, default: int, context: str, low: int = 1) ->
 
 def _sim_config(cfg: dict, model: DiffusionModel, seed) -> SimulationConfig:
     block = _need(cfg, "simulation")
-    target_radius = _optional_float(block, "target_radius")
-    seed = block.get("seed", 0) if seed is None else seed
     try:
         return SimulationConfig(
             dt=float(block["dt"]),
@@ -279,7 +275,6 @@ def _sim_config(cfg: dict, model: DiffusionModel, seed) -> SimulationConfig:
             antithetic=bool(block.get("antithetic", False)),
             record_mem=bool(block.get("record_mem", False)),
             mem_stride=_whole(block.get("mem_stride", 10)),
-            target_radius=target_radius,
         )
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"simulation block invalid: {exc}") from exc
@@ -463,6 +458,9 @@ def _cmd_verify_var(cfg, seed):
     n_spaces = _integer(block, "n_spaces", 1000, "verify")
     max_atoms = _integer(block, "max_atoms", 64, "verify", low=2)
     f_range = float(block.get("f_range", 20.0))
+    # f is drawn from [-f_range, f_range], whose width must be finite (NaN fails too)
+    if not 0 < 2.0 * f_range < np.inf:
+        raise ConfigError(f"verify.f_range must be positive with 2 f_range finite, got {f_range!r}")
     seed = _whole(seed)
     if not _is_int(seed) or seed < 0:
         raise ConfigError(f"verify.seed must be a non-negative integer, got {seed!r}")

@@ -114,7 +114,11 @@ class Grid:
         return idx
 
 
-def build_grid(radii, counts, node_cap: int = 2_000_000) -> Grid:
+# the most nodes a grid may have; one float per node is 16 MB at the cap
+_NODE_CAP = 2_000_000
+
+
+def build_grid(radii, counts) -> Grid:
     """Build a grid; rejects counts < 3, nonpositive radii, or too many nodes."""
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     counts = np.atleast_1d(np.asarray(counts, dtype=np.int64))
@@ -125,8 +129,8 @@ def build_grid(radii, counts, node_cap: int = 2_000_000) -> Grid:
     if np.any(radii <= 0):
         raise ValueError("radii must be positive")
     total = int(np.prod(counts))
-    if total > node_cap:
-        raise ValueError(f"grid would have {total} nodes, above cap {node_cap}")
+    if total > _NODE_CAP:
+        raise ValueError(f"grid would have {total} nodes, above cap {_NODE_CAP}")
     spacings = 2.0 * radii / (counts - 1)
     axes = tuple(np.linspace(-r, r, int(c)) for r, c in zip(radii, counts))
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -175,13 +175,16 @@ def principal_eigenpair(
             the iteration count only.
 
     Raises:
-        ValueError: on a start vector of the wrong length, with a non-finite
-        or a non-positive entry.
+        ValueError: on a tol that is not finite and positive, and on a start
+        vector of the wrong length, with a non-finite or a non-positive entry.
         EigenSolveError: at once on a tolerance below the floor, reducible Q
         or non-finite data; after max_iter iterations on non-convergence.
     """
     import scipy.sparse as sp
 
+    # NaN fails the comparison, so this rejects it too
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     m, rows, cols, rates, r, floor = _edges(Q, r_vec)
     n = r.size
     if start is None:

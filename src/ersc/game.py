@@ -28,7 +28,7 @@ stall and budget rule is the driver's, raising GameSolveError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -115,7 +115,6 @@ class GameSolution:
     history: list
     l: float
     L_star: float
-    grid: Optional[Grid] = field(repr=False, default=None)
 
 
 def inner_max_w(g, l: float):
@@ -249,7 +248,6 @@ class _GameIteration:
             history=history,
             l=self.l,
             L_star=self.L_star,
-            grid=self.grid,
         )
 
 
@@ -348,7 +346,6 @@ def average_cost_solve(
     model,
     grid: Grid,
     cost_fn=None,
-    cost_scale: float = 1.0,
     tol: float = 1e-10,
     max_iter: int = 200,
     scheme: str = "hybrid",
@@ -359,6 +356,6 @@ def average_cost_solve(
     payoff cap (L* = inf): plain Howard iteration on the Poisson equation,
     with the stop, stall and budget rule of the module docstring.
     """
-    r_all = cost_scale * model.cost_table(grid.coords(), cost_fn)
+    r_all = model.cost_table(grid.coords(), cost_fn)
     it = _GameIteration(model, grid, r_all, 0.0, np.inf, scheme)
     return it.solve(MarkovPolicy(np.argmin(r_all, axis=0)), tol, max_iter)

@@ -121,10 +121,6 @@ class HjbSolution:
     scheme: str = "hybrid"
     cost_table: Optional[np.ndarray] = field(repr=False, default=None)
 
-    @property
-    def log_V(self) -> np.ndarray:
-        return np.log(self.V)
-
 
 def _howard(step, policy, tol: float, max_iter: int, error: type):
     """Howard policy iteration from ``policy``: (policy, residual, history).
@@ -136,8 +132,12 @@ def _howard(step, policy, tol: float, max_iter: int, error: type):
     ``error`` at once when the improved policy repeats an earlier one whose
     value is unchanged within tol (argmin ties cycling, or rounding holding
     the residual above tol), and when ``max_iter`` steps run out; both
-    messages name the last residual and tol.
+    messages name the last residual and tol.  A tol that is not finite and
+    positive raises ValueError before the first step.
     """
+    # NaN fails the comparison, so this rejects it too
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     history, seen, residual = [], {}, np.inf
     for k in range(1, max_iter + 1):
         value, residual, settled, improved = step(policy)
@@ -192,6 +192,7 @@ def solve_hjb(
     start, so the warm start changes iteration counts, not the gates.
 
     Raises:
+        ValueError: before any solve, on a tol that is not finite and positive.
         HjbError: by the stall and budget rule of ``_howard``.
     """
     kernel = OperatorKernel(model, grid, scheme)

@@ -72,10 +72,6 @@ class ControlSet:
     def n_controls(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def control_dim(self) -> int:
-        return self.points.shape[1]
-
 
 @dataclass(frozen=True)
 class RegionSpec:
@@ -118,8 +114,7 @@ class DiffusionModel:
         cost: vectorized nonnegative running cost r(x, u).
         controls: finite control set.
         region_K: open set on which the running cost is inf-compact.
-        nondeg_floor: lower bound sigma in z'Sigma Sigma' z >= sigma |z|^2.
-        name: label used in configs and reports.
+        name: a label for the reader, shown in the repr; nothing reads it.
     """
 
     dim: int
@@ -128,14 +123,11 @@ class DiffusionModel:
     cost: Callable[[np.ndarray, np.ndarray], np.ndarray]
     controls: ControlSet
     region_K: RegionSpec = field(default_factory=RegionSpec.full_space)
-    nondeg_floor: float = 1e-12
     name: str = "model"
 
     def __post_init__(self):
         if self.dim < 1:
             raise ModelError("dim must be >= 1")
-        if self.nondeg_floor <= 0:
-            raise ModelError("nondeg_floor must be positive")
 
     def diffusion_matrix(self, x: np.ndarray) -> np.ndarray:
         """A(x) = Sigma(x) Sigma(x)^T, broadcast over leading axes of x."""
@@ -247,7 +239,6 @@ def builtin_ou_lq(
         cost=cost,
         controls=controls,
         region_K=RegionSpec.full_space(),
-        nondeg_floor=sig**2,
         name="ou_lq",
     )
 
@@ -399,7 +390,6 @@ def builtin_w_network(
         cost=cost,
         controls=controls,
         region_K=region,
-        nondeg_floor=float(np.min(2.0 * lam)),
         name="w_network",
     )
 

@@ -51,7 +51,6 @@ class PerturbationFamily:
     C3: float = 0.5
     h: Callable = None
     hbar: Optional[Callable] = None
-    collar_width: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.C3 < 1.0):
@@ -99,9 +98,7 @@ def build_h(
         z = zeta(x, u)
         return np.maximum(r, 1.0 + z * r + (1.0 - z) * np.asarray(hbar(x, u)))
 
-    family = PerturbationFamily(
-        model=model, C3=C3, h=h, hbar=hbar, collar_width=collar_width
-    )
+    family = PerturbationFamily(model=model, C3=C3, h=h, hbar=hbar)
     _certify(family, grid)
     return family
 
@@ -115,11 +112,11 @@ def family_from_h(model, h: Callable, C3: float, grid: Optional[Grid] = None) ->
     """
     family = PerturbationFamily(model=model, C3=C3, h=h, hbar=None)
     if grid is not None:
-        _certify(family, grid, check_upper=False)
+        _certify(family, grid)
     return family
 
 
-def _certify(family: PerturbationFamily, grid: Grid, check_upper: bool = True) -> None:
+def _certify(family: PerturbationFamily, grid: Grid) -> None:
     model = family.model
     coords = grid.coords()
     radii = np.linalg.norm(coords, axis=1)
@@ -132,7 +129,7 @@ def _certify(family: PerturbationFamily, grid: Grid, check_upper: bool = True) -
         raise PerturbationError(
             f"h < r at x={coords[i]}, u={pts[k]}: h={hv[k, i]:.6g}, r={r[k, i]:.6g}"
         )
-    if check_upper and family.hbar is not None:
+    if family.hbar is not None:
         hb = model.cost_table(coords, family.hbar)
         on_H = np.asarray(model.region_K.inside(coords))[None, :] | (r > hb)
         cap = 2.0 + 2.0 * np.where(on_H, r, hb)

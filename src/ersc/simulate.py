@@ -12,6 +12,10 @@ ratio of the plain against the w-drifted Euler chain.  On it sit:
     HJB solution outside a ball, with paths frozen when they hit it,
   * occupation-measure (mean empirical measure) tightness diagnostics.
 
+The control is a stationary Markov policy: None for a one-control model, else
+a MarkovPolicy on a grid.  The only radius is the hitting-time check's ball,
+and a path that hits it is frozen.
+
 Randomness comes from a counter-based generator: the normals of step k are
 the Philox stream keyed by the seed from counter k << 128, and path j reads
 row j of the step's block, so runs are bit-reproducible for a fixed seed.
@@ -86,7 +90,6 @@ class SimulationConfig:
     antithetic: bool = False
     record_mem: bool = False
     mem_stride: int = 10
-    target_radius: Optional[float] = None
 
     def __post_init__(self):
         # NaN fails every comparison, so this rejects it too
@@ -120,7 +123,6 @@ class PathEnsemble:
     terminal: np.ndarray
     cost_integral: np.ndarray
     aux_penalty_integral: np.ndarray
-    hitting_time: Optional[np.ndarray]
     mem_masses: Optional[np.ndarray]
     grid: Optional[Grid]
     excluded: int
@@ -136,8 +138,6 @@ class PathEnsemble:
         m.update(self.terminal.tobytes())
         m.update(self.cost_integral.tobytes())
         m.update(self.aux_penalty_integral.tobytes())
-        if self.hitting_time is not None:
-            m.update(self.hitting_time.tobytes())
         return m.hexdigest()
 
 
@@ -287,22 +287,20 @@ class _ClipCount:
 
 
 def _resolve_policy(model, policy, grid: Optional[Grid], clip: _ClipCount):
+    """The control ``u(X)`` of ``policy``: None (one-control model) or a MarkovPolicy."""
+    if policy is not None and not isinstance(policy, MarkovPolicy):
+        raise TypeError(f"policy must be None or a MarkovPolicy, got {type(policy).__name__}")
     pts = model.controls.points
-    if policy is None or (isinstance(policy, MarkovPolicy) and pts.shape[0] == 1):
+    if policy is None or pts.shape[0] == 1:
         # with one control every policy is that control: no node lookup
         if pts.shape[0] != 1:
             raise ValueError("policy required when the model has several controls")
         u0 = pts[0]
         return lambda x: u0
-    if isinstance(policy, MarkovPolicy):
-        if grid is None:
-            raise ValueError("grid required to evaluate a MarkovPolicy by node lookup")
-        per_node = policy.control_values(pts)
-        return clip.field(grid, lambda x: per_node[grid.nearest_node(x)])
-    if callable(policy):
-        return policy
-    u = np.asarray(policy, dtype=float)
-    return lambda x: u
+    if grid is None:
+        raise ValueError("grid required to evaluate a MarkovPolicy by node lookup")
+    per_node = policy.control_values(pts)
+    return clip.field(grid, lambda x: per_node[grid.nearest_node(x)])
 
 
 def _resolve_aux(aux, grid: Optional[Grid], clip: _ClipCount):
@@ -391,7 +389,8 @@ def grid_interpolator(grid: Grid, values: np.ndarray) -> Callable:
 
 
 # per path, dead ones included: final state, not excluded, int r dt,
-# (1/2) int |w|^2 dt, int w . dW, hitting time (NaN if none); and occupation
+# (1/2) int |w|^2 dt, int w . dW, hitting time (NaN if none; the array is None
+# without a stop radius); and occupation
 _Paths = namedtuple("_Paths", "X alive cost penalty girsanov hit mem")
 
 
@@ -404,14 +403,13 @@ def _euler_maruyama(
     from each, path j of every start seeing row j of the step's normal block
     (common random numbers), and the result holds the B ensembles one after
     another.  ``w_of(X, S)``, given Sigma(X) as S, adds the drift S w.
-    Hitting times of the ball of radius ``stop_radius`` (else
-    ``cfg.target_radius``) are recorded; a stop radius also freezes each path
-    at its hit.  Paths that turn non-finite are parked at their start and
-    marked dead.  While every path moves, each step works on the whole
-    arrays; once one has stopped, the policy, the model callbacks, ``w_of``
-    and the update see only the moving rows.  The loop ends once no path
-    moves.  ``mem_grid`` records the occupation masses every
-    ``cfg.mem_stride`` steps.
+    With a ``stop_radius`` each path's first hitting time of that closed ball
+    is recorded and the path is frozen there.  Paths that turn non-finite are
+    parked at their start and marked dead.  While every path moves, each step
+    works on the whole arrays; once one has stopped, the policy, the model
+    callbacks, ``w_of`` and the update see only the moving rows.  The loop
+    ends once no path moves.  ``mem_grid`` records the occupation masses
+    every ``cfg.mem_stride`` steps.
 
     The normal blocks come from ``_normal_blocks``: drawn ahead on a
     producer thread when no path freezes (no ``stop_radius``) and a block
@@ -429,8 +427,7 @@ def _euler_maruyama(
     gir = np.zeros(N)
     alive = np.ones(N, dtype=bool)
     moving = np.ones(N, dtype=bool)
-    radius = stop_radius if stop_radius is not None else cfg.target_radius
-    hit = None if radius is None else np.full(N, np.nan)
+    hit = None if stop_radius is None else np.full(N, np.nan)
     mem_counts = None if mem_grid is None else np.zeros(mem_grid.n_nodes)
     mem_total = 0
     rows = slice(None)  # every path moves: whole arrays, no gather
@@ -467,13 +464,12 @@ def _euler_maruyama(
                 stopped = True
             if hit is not None:
                 # a non-finite row has a NaN or infinite norm, so it never arrives
-                newly = np.isnan(hit[rows]) & (np.linalg.norm(Xr, axis=1) <= radius)
+                newly = np.isnan(hit[rows]) & (np.linalg.norm(Xr, axis=1) <= stop_radius)
                 if newly.any():
                     arrived = row_ids(newly)
                     hit[arrived] = (k + 1) * dt
-                    if stop_radius is not None:
-                        moving[arrived] = False
-                        stopped = True
+                    moving[arrived] = False
+                    stopped = True
             if mem_counts is not None and (k % cfg.mem_stride == 0):
                 np.add.at(mem_counts, mem_grid.nearest_node(X[alive]), 1.0)
                 mem_total += int(alive.sum())
@@ -498,11 +494,11 @@ def simulate(
 ) -> PathEnsemble:
     """Euler-Maruyama paths of X (or the drift-augmented Z when ``aux`` is set).
 
-    ``policy`` may be None (single-control model), a constant control point,
-    a vectorized row-wise callable x -> u, or a MarkovPolicy evaluated by
-    nearest-node lookup on ``grid`` (none for a one-control model).  ``aux``
-    is the auxiliary field w, adding the drift Sigma(x) w(x); it may be a
-    callable or a per-node field (interpolated).
+    ``policy`` is None (one-control model) or a MarkovPolicy, evaluated by
+    nearest-node lookup on ``grid`` (none for a one-control model); any other
+    form raises TypeError.  ``aux`` is the auxiliary field w, adding the drift
+    Sigma(x) w(x); it may be a callable, a per-node field or an
+    AuxiliaryPolicy (its ``field``), the latter two interpolated on ``grid``.
     Paths that leave the representable range (non-finite state) are excluded
     and counted.
     """
@@ -519,7 +515,6 @@ def simulate(
         terminal=paths.X[alive],
         cost_integral=paths.cost[alive],
         aux_penalty_integral=paths.penalty[alive],
-        hitting_time=paths.hit[alive] if paths.hit is not None else None,
         mem_masses=paths.mem,
         grid=grid,
         excluded=int((~alive).sum()),
@@ -674,7 +669,12 @@ def check_stochastic_representation(
     per-step Girsanov reweighting; the estimate stays unbiased for the Euler
     chain under any (V, Lambda), so wrong inputs are still detected, while
     the weight variance collapses when the inputs are near the eigenpair.
+
+    Raises ValueError unless R is finite and positive.
     """
+    # NaN fails the comparison, so this rejects it too
+    if not 0 < R < np.inf:
+        raise ValueError(f"R must be finite and positive, got {R!r}")
     clip = _ClipCount()
     V_of = clip.field(grid, grid_interpolator(grid, np.asarray(V, dtype=float)))
     u_of = _resolve_policy(model, policy, grid, clip)

@@ -16,7 +16,7 @@ drift, and a well-chosen restricted family comes within tolerance of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class FiniteNoiseSpace:
     """Finite sample space with strictly positive probabilities summing to one."""
 
     probs: np.ndarray
-    labels: Optional[Sequence] = None
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float).ravel()
@@ -48,10 +47,6 @@ class FiniteNoiseSpace:
         if abs(p.sum() - 1.0) > 1e-15 * p.size:
             raise ValueError("probabilities must sum to 1 (to 1e-15 per atom)")
         object.__setattr__(self, "probs", p)
-
-    @property
-    def n_atoms(self) -> int:
-        return self.probs.size
 
 
 def kl_divergence(q: np.ndarray, p: np.ndarray) -> float:

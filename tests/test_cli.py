@@ -261,7 +261,6 @@ SIMULATION = {"dt": 0.01, "horizon": 0.1, "n_paths": 8, "seed": 0, "x0": [0.0]}
         ("sweep-kappa", {"sweep": {"kappa": ["abc"]}}),
         ("check-assumptions", {"assumptions": dict(ASSUMPTIONS, lyap={"type": "quadratic"})}),
         ("simulate", {"simulation": dict(SIMULATION, truncation_L="abc")}),
-        ("simulate", {"simulation": dict(SIMULATION, target_radius="abc")}),
         ("simulate", {"simulation": dict(SIMULATION, record_mem=True, mem_stride=0)}),
         ("eigen", {"grid": {"radii": [6.0, 6.0], "counts": [15, 15]}}),
         ("simulate", {"simulation": dict(SIMULATION, seed=-1)}),
@@ -281,6 +280,12 @@ SIMULATION = {"dt": 0.01, "horizon": 0.1, "n_paths": 8, "seed": 0, "x0": [0.0]}
         ("eigen", {"solver": {"tol": 1e-8, "max_iter": 60.5}}),
         ("simulate", {"simulation": dict(SIMULATION, dt=1.0e-320, horizon=1.0e10)}),
         ("eigen", {"solver": {"scheme": "central"}}),
+        ("eigen", {"solver": {"tol": float("nan")}}),
+        ("eigen", {"solver": {"tol": float("inf")}}),
+        ("hjb", {"solver": {"tol": -1.0}}),
+        ("verify-var", {"verify": {"n_spaces": 10, "f_range": float("inf")}}),
+        ("verify-var", {"verify": {"n_spaces": 10, "f_range": 0.0}}),
+        ("rep-check", {"rep_check": {"R": -1.0, "test_points": [[2.0]]}, "simulation": SIMULATION}),
     ],
     ids=[
         "zero-C1",
@@ -290,7 +295,6 @@ SIMULATION = {"dt": 0.01, "horizon": 0.1, "n_paths": 8, "seed": 0, "x0": [0.0]}
         "kappa-text",
         "no-lyap-Q",
         "truncation-L-text",
-        "target-radius-text",
         "mem-stride-zero",
         "dim-mismatch",
         "seed-negative",
@@ -310,6 +314,12 @@ SIMULATION = {"dt": 0.01, "horizon": 0.1, "n_paths": 8, "seed": 0, "x0": [0.0]}
         "max-iter-fraction",
         "steps-overflow",
         "scheme-central",
+        "tol-nan",
+        "tol-inf",
+        "tol-negative",
+        "f-range-inf",
+        "f-range-zero",
+        "rep-check-R-negative",
     ],
 )
 def test_invalid_config_exit_code(tmp_path, capsys, command, extra):

@@ -20,7 +20,6 @@ def make_1d_model(drift_fn, sigma=1.0, points=((0.0,),)):
         sigma=lambda x: np.array([[sigma]]),
         cost=lambda x, u: np.zeros(np.shape(np.asarray(x))[:-1]),
         controls=ControlSet(np.asarray(points)),
-        nondeg_floor=sigma**2,
         name="test1d",
     )
 
@@ -46,7 +45,7 @@ def test_build_grid_rejections():
     with pytest.raises(ValueError):
         build_grid([-1.0], [5])
     with pytest.raises(ValueError):
-        build_grid([1.0, 1.0, 1.0], [300, 300, 300], node_cap=10**6)
+        build_grid([1.0, 1.0, 1.0], [300, 300, 300])
 
 
 def test_pure_diffusion_stencil():
@@ -244,7 +243,6 @@ def make_2d_correlated(sig_mat):
         sigma=lambda x: sig_mat,
         cost=lambda x, u: np.zeros(np.shape(np.asarray(x))[:-1]),
         controls=ControlSet(np.array([[0.0]])),
-        nondeg_floor=float(np.min(np.linalg.eigvalsh(sig_mat @ sig_mat.T))),
         name="corr2d",
     )
 

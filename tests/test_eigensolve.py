@@ -13,6 +13,7 @@ from ersc.eigensolve import (
     policy_value,
     principal_eigenpair,
 )
+from ersc.game import average_cost_solve
 from ersc.hjb import MarkovPolicy, solve_hjb
 
 GOLDEN = (-1.0 + np.sqrt(5.0)) / 2.0  # root of l^2 + l - 1 = 0
@@ -169,6 +170,27 @@ def test_tolerance_below_rounding_floor_raises_at_once(ou_uncontrolled, grid_241
     named = re.escape(f"rounding floor {floor:g}")
     with pytest.raises(EigenSolveError, match=named):
         principal_eigenpair(Q, r, tol=0.5 * floor)
+
+
+def test_tolerance_not_finite_and_positive_raises_before_factorization(
+    ou_uncontrolled, lq_model, grid_241, monkeypatch
+):
+    Q, r = _ou_chain(ou_uncontrolled, grid_241)
+
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("factorized before checking the tolerance")
+
+    monkeypatch.setattr(spla, "splu", no_factorization)
+    pol = MarkovPolicy.constant(0, grid_241.n_nodes)
+    for tol in (np.nan, np.inf, -1.0, 0.0):
+        for solve in (
+            lambda: principal_eigenpair(Q, r, tol=tol),
+            lambda: policy_value(ou_uncontrolled, grid_241, pol, tol=tol),
+            lambda: solve_hjb(lq_model, grid_241, tol=tol),
+            lambda: average_cost_solve(lq_model, grid_241, tol=tol),
+        ):
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                solve()
 
 
 def test_small_kappa_lq_bracket_is_edge_difference_ratio(lq_model):

@@ -146,7 +146,6 @@ def test_check_assumptions_zero_cost_slacks():
         cost=m.cost,
         controls=m.controls,
         region_K=region,
-        nondeg_floor=m.nondeg_floor,
         name=m.name,
     )
     lyap = QuadraticLyapLog(np.array([[0.0]]))

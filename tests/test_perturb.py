@@ -34,7 +34,6 @@ def mixed_region_model():
         cost=lambda x, u: np.sum(np.asarray(x, dtype=float) ** 2, axis=-1),
         controls=ControlSet(np.array([[0.0]])),
         region_K=region,
-        nondeg_floor=1.0,
         name="mixed1d",
     )
 

@@ -42,7 +42,6 @@ def brownian_model(dim=1, sigma=1.0):
         sigma=lambda x: sigma * np.eye(dim),
         cost=lambda x, u: np.zeros(np.shape(np.asarray(x))[:-1]),
         controls=ControlSet(np.array([[0.0]])),
-        nondeg_floor=sigma**2,
         name="bm",
     )
 
@@ -94,7 +93,6 @@ def test_blowup_paths_excluded():
         sigma=lambda x: np.array([[1.0]]),
         cost=lambda x, u: np.zeros(np.shape(np.asarray(x))[:-1]),
         controls=ControlSet(np.array([[0.0]])),
-        nondeg_floor=1.0,
         name="explode",
     )
     cfg = SimulationConfig(dt=0.5, horizon=40.0, n_paths=16, seed=2, x0=[2.0])
@@ -113,7 +111,6 @@ def explode_model():
         sigma=lambda x: np.array([[1.0]]),
         cost=lambda x, u: np.zeros(np.shape(np.asarray(x))[:-1]),
         controls=ControlSet(np.array([[0.0]])),
-        nondeg_floor=1.0,
         name="explode",
     )
 
@@ -163,7 +160,6 @@ PINNED = {
         "fb1525b136bcf84dca50892fe503404550e00873717d2d53b2809e36f2d8699f",
         "2787f1ccca0f3e4c12d3f53ca543776bfe0d390ec43bb30fabd182f2fe3d0045",
     ),
-    "target_radius": ("4b6e0734ddcb1591a5a0d94d23bcd87ab4258f720dbfdebf03d82689411430aa", None),
     "markov_policy": ("6cd6e221351487d49048bfb3a9d0f8feb220ce9a2c418ff5680495c18ceb33ea", None),
     "state_sigma_aux": ("dc00792562e915471da98cb8c1eccf654a8ad09197bdc448925640e8cd7a896b", None),
 }
@@ -182,8 +178,6 @@ def test_pinned_digests(case, ou_uncontrolled, grid_241):
     elif case == "record_mem":
         base.update(record_mem=True, mem_stride=5)
         kw = {"grid": grid_241}
-    elif case == "target_radius":
-        base.update(x0=[2.0], horizon=2.0, target_radius=1.0)
     elif case == "markov_policy":
         model = builtin_ou_lq(a=-1.0, sigma=1.0, q=1.0, c=2.0, u_max=5.0, n_controls=5)
         policy = MarkovPolicy(np.arange(grid_241.n_nodes) % 5)
@@ -195,7 +189,6 @@ def test_pinned_digests(case, ou_uncontrolled, grid_241):
             sigma=lambda x: np.sqrt(1.0 + 0.1 * np.asarray(x, dtype=float) ** 2)[..., None],
             cost=lambda x, u: 0.5 * np.asarray(x, dtype=float)[..., 0] ** 2,
             controls=ControlSet(np.array([[0.0]])),
-            nondeg_floor=1.0,
             name="state_sigma",
         )
         kw = {"aux": lambda x: 0.3 * np.ones_like(x)}
@@ -206,8 +199,6 @@ def test_pinned_digests(case, ou_uncontrolled, grid_241):
         assert ens.mem_masses is None
     else:
         assert hashlib.sha256(ens.mem_masses.tobytes()).hexdigest() == mem
-    if case == "target_radius":
-        assert int(np.isfinite(ens.hitting_time).sum()) == 62
 
 
 def test_estimate_constant_cost_exact():
@@ -217,7 +208,6 @@ def test_estimate_constant_cost_exact():
         sigma=lambda x: np.array([[1.0]]),
         cost=lambda x, u: np.full(np.shape(np.asarray(x))[:-1], 1.7),
         controls=ControlSet(np.array([[0.0]])),
-        nondeg_floor=1.0,
         name="constcost",
     )
     cfg = SimulationConfig(dt=0.01, horizon=2.0, n_paths=50, seed=3, x0=[0.0])
@@ -628,6 +618,44 @@ def test_one_control_markov_policy_makes_no_lookup(ou_uncontrolled, grid_241, mo
     monkeypatch.setattr(Grid, "nearest_node", no_lookup)
     pol = MarkovPolicy.constant(0, grid_241.n_nodes)
     assert simulate(ou_uncontrolled, pol, cfg, grid=grid_241).digest() == plain
+
+
+def test_policy_is_none_or_a_markov_policy(ou_uncontrolled, grid_241):
+    cfg = SimulationConfig(dt=0.01, horizon=0.1, n_paths=8, seed=9, x0=[0.5])
+    u = ou_uncontrolled.controls.points[0]
+    pair = policy_value(ou_uncontrolled, grid_241, MarkovPolicy.constant(0, grid_241.n_nodes))
+    V = np.ones(grid_241.n_nodes)
+    for policy in (lambda x: u, u, [0.0], 0):
+        with pytest.raises(TypeError, match="None or a MarkovPolicy"):
+            simulate(ou_uncontrolled, policy, cfg, grid=grid_241)
+        with pytest.raises(TypeError, match="None or a MarkovPolicy"):
+            importance_sampled_cost(ou_uncontrolled, policy, pair, cfg)
+        with pytest.raises(TypeError, match="None or a MarkovPolicy"):
+            check_stochastic_representation(
+                ou_uncontrolled, policy, V, 0.0, 1.0, [[2.0]], cfg, grid_241
+            )
+
+
+def test_auxiliary_policy_reads_as_its_field(ou_uncontrolled):
+    from ersc.game import sup_w_fixed_policy
+
+    g = build_grid([6.0], [121])
+    w_policy = sup_w_fixed_policy(
+        ou_uncontrolled, g, MarkovPolicy.constant(0, g.n_nodes), 0.0, l=1.0
+    ).w_policy
+    assert np.abs(w_policy.field).max() > 0.1
+    cfg = SimulationConfig(dt=0.01, horizon=1.0, n_paths=64, seed=9, x0=[0.5])
+    via_policy = simulate(ou_uncontrolled, None, cfg, aux=w_policy, grid=g).digest()
+    assert via_policy == simulate(ou_uncontrolled, None, cfg, aux=w_policy.field, grid=g).digest()
+    assert via_policy != simulate(ou_uncontrolled, None, cfg).digest()
+
+
+def test_representation_radius_must_be_finite_and_positive(ou_uncontrolled, grid_241):
+    cfg = SimulationConfig(dt=0.01, horizon=0.1, n_paths=8, seed=9, x0=[0.5])
+    V = np.ones(grid_241.n_nodes)
+    for R in (np.nan, np.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match="R must be finite and positive"):
+            check_stochastic_representation(ou_uncontrolled, None, V, 0.0, R, [[2.0]], cfg, grid_241)
 
 
 def consumed_blocks(monkeypatch, model, cfg, starts, **kwargs):
