@@ -7,7 +7,8 @@ Commands: eigen, hjb, game, sweep-eps, sweep-kappa, simulate, verify-var,
 check-assumptions, rep-check.  Configs are YAML with nested blocks (model,
 grid, solver, sweep, perturb, simulation, output, ...); experiments are
 archival artifacts, so everything except the command name and paths lives in
-the config.
+the config.  Every key is read through ``_get``, which checks its kind and
+names it in any error; each command reads all its keys before its first solve.
 
 Each command is one entry of a dispatch table: a function of the config and
 the seed that returns ``(results, tables)``.  ``results`` becomes the
@@ -16,8 +17,9 @@ the seed that returns ``(results, tables)``.  ``results`` becomes the
 digest, stable under canonical re-emission), config.canonical.yaml and every
 table through one CSV writer (header row, comma separated, '.' decimal).
 
-Exit status: 0 success, 2 invalid command line or config (any ValueError or
-PerturbationError, which the library raises on invalid inputs), 3 solver
+Exit status: 0 success, 2 invalid command line or config (any ValueError,
+OverflowError or PerturbationError, which the library and numpy raise on
+invalid inputs), 3 solver
 non-convergence or a non-monotone scheme.  Every failure prints a single
 machine-parsable line "ERROR:<category>: <message>".
 """
@@ -30,7 +32,6 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 import yaml
@@ -102,60 +103,106 @@ def canonical_digest(cfg: dict) -> str:
     return hashlib.sha256(canonical_dump(cfg).encode()).hexdigest()
 
 
-def _need(cfg: dict, key: str, context: str = "config") -> dict:
-    if key not in cfg:
-        raise ConfigError(f"{context} is missing the '{key}' block")
-    return cfg[key]
+_REQUIRED = object()
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite real number (NaN fails the comparison; a bool is none)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) < np.inf
+
+
+def _numbers(value) -> bool:
+    return isinstance(value, list) and bool(value) and all(_finite(v) for v in value)
+
+
+_KINDS = {
+    "number": _finite,
+    "positive": lambda v: _finite(v) and v > 0,
+    "numbers": _numbers,
+    # rows of one length, so the value reads as a 2-d array
+    "matrix": lambda v: type(v) is list and all(map(_numbers, v)) and len(set(map(len, v))) == 1,
+    "bool": lambda v: isinstance(v, bool),
+    "mapping": lambda v: isinstance(v, dict),
+    "text": lambda v: isinstance(v, str),
+}
+
+
+def _get(cfg: dict, path: str, kind: str, default=_REQUIRED):
+    """The config value at the dotted ``path``, checked to be of ``kind``.
+
+    Kinds: "number" (finite, read as a float), "positive" (a finite number
+    > 0), "numbers" (a non-empty list of finite numbers, read as floats),
+    "matrix" (a non-empty list of such lists, all of one length, read as a
+    2-d float array), "int>=N" (an integer of at least N: 7.0 reads as 7,
+    while a fraction, a bool or text is rejected, not truncated), "bool",
+    "mapping" and "text".  An absent or null key gives ``default``, and is an
+    error when there is none; every block on the way must be a mapping.  Each
+    failure is a ConfigError naming the path.
+    """
+    node, keys = cfg, path.split(".")
+    for depth, key in enumerate(keys):
+        if not isinstance(node, dict):
+            raise ConfigError(f"{'.'.join(keys[:depth])} must be a mapping, got {node!r}")
+        node = node.get(key)
+        if node is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"{path} is required")
+            return default
+    if kind.startswith("int>="):
+        node = int(node) if isinstance(node, float) and node % 1 == 0 else node
+        ok = _is_int(node) and node >= int(kind[5:])
+    else:
+        ok = _KINDS[kind](node)
+    if not ok:
+        raise ConfigError(f"{path}: expected {kind}, got {node!r}")
+    if kind in ("number", "positive"):
+        return float(node)
+    if kind == "numbers":
+        return [float(v) for v in node]
+    return np.asarray(node, dtype=float) if kind == "matrix" else node
 
 
 def build_model(cfg: dict) -> DiffusionModel:
-    block = _need(cfg, "model")
-    name = block.get("name")
-    params = block.get("params", {})
+    name = _get(cfg, "model.name", "text")
     try:
         if name == "ou_lq":
             return builtin_ou_lq(
-                a=float(params["a"]),
-                sigma=float(params["sigma"]),
-                q=float(params.get("q", 0.0)),
-                c=float(params.get("c", 0.0)),
-                u_max=float(params.get("u_max", 0.0)),
-                n_controls=_integer(params, "n_controls", 1, "model.params"),
+                a=_get(cfg, "model.params.a", "number"),
+                sigma=_get(cfg, "model.params.sigma", "number"),
+                q=_get(cfg, "model.params.q", "number", 0.0),
+                c=_get(cfg, "model.params.c", "number", 0.0),
+                u_max=_get(cfg, "model.params.u_max", "number", 0.0),
+                n_controls=_get(cfg, "model.params.n_controls", "int>=1", 1),
             )
         if name == "w_network":
             return builtin_w_network(
-                arrival_rates=params["arrival_rates"],
-                service_rates=np.asarray(params["service_rates"], dtype=float),
-                l_vec=params["l_vec"],
-                cost_weights=params["cost_weights"],
-                n_controls=_integer(params, "n_controls", 1, "model.params"),
-                idle_weights=params.get("idle_weights"),
-                region_delta=float(params.get("region_delta", 0.2)),
+                arrival_rates=_get(cfg, "model.params.arrival_rates", "numbers"),
+                service_rates=_get(cfg, "model.params.service_rates", "matrix"),
+                l_vec=_get(cfg, "model.params.l_vec", "numbers"),
+                cost_weights=_get(cfg, "model.params.cost_weights", "numbers"),
+                n_controls=_get(cfg, "model.params.n_controls", "int>=1", 1),
+                region_delta=_get(cfg, "model.params.region_delta", "number", 0.2),
             )
         if name == "affine_quadratic":
-            return _affine_quadratic_model(params)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"model '{name}' has malformed parameters: {exc}") from exc
+            return _affine_quadratic_model(cfg)
     except ModelError as exc:
         raise ConfigError(f"model '{name}': {exc}") from exc
     raise ConfigError(f"unknown model name {name!r}")
 
 
-def _affine_quadratic_model(params: dict) -> DiffusionModel:
+def _affine_quadratic_model(cfg: dict) -> DiffusionModel:
     """Declarative custom model: affine drift, constant Sigma, quadratic cost."""
-    dim = int(params["dim"])
-    dr = params.get("drift", {})
-    A_lin = np.asarray(dr.get("linear", np.zeros((dim, dim))), dtype=float)
-    B = np.asarray(dr.get("control", np.zeros((dim, 1))), dtype=float)
-    const = np.asarray(dr.get("const", np.zeros(dim)), dtype=float)
-    Sigma = np.asarray(params["sigma"], dtype=float)
-    cb = params.get("cost", {})
-    Qxx = np.asarray(cb.get("xx", np.zeros((dim, dim))), dtype=float)
+    dim = _get(cfg, "model.params.dim", "int>=1")
+    A_lin = _get(cfg, "model.params.drift.linear", "matrix", np.zeros((dim, dim)))
+    B = _get(cfg, "model.params.drift.control", "matrix", np.zeros((dim, 1)))
+    const = np.asarray(_get(cfg, "model.params.drift.const", "numbers", np.zeros(dim)))
+    Sigma = _get(cfg, "model.params.sigma", "matrix")
+    Qxx = _get(cfg, "model.params.cost.xx", "matrix", np.zeros((dim, dim)))
     m = B.shape[1]
-    Quu = np.asarray(cb.get("uu", np.zeros((m, m))), dtype=float)
-    c0 = float(cb.get("const", 0.0))
-    pts = np.asarray(params["controls"]["points"], dtype=float)
-    controls = ControlSet(np.atleast_2d(pts), description="config-declared points")
+    Quu = _get(cfg, "model.params.cost.uu", "matrix", np.zeros((m, m)))
+    c0 = _get(cfg, "model.params.cost.const", "number", 0.0)
+    pts = _get(cfg, "model.params.controls.points", "matrix")
+    controls = ControlSet(pts, description="config-declared points")
 
     def drift(x, u):
         x = np.asarray(x, dtype=float)
@@ -185,99 +232,71 @@ def _affine_quadratic_model(params: dict) -> DiffusionModel:
 
 
 def build_grid_from_cfg(cfg: dict) -> Grid:
-    block = _need(cfg, "grid")
+    radii = _get(cfg, "grid.radii", "numbers")
+    counts = _get(cfg, "grid.counts", "numbers")
     try:
-        return build_grid(block["radii"], block["counts"])
-    except (KeyError, ValueError) as exc:
+        return build_grid(radii, counts)
+    except ValueError as exc:
         raise ConfigError(f"grid block invalid: {exc}") from exc
 
 
 def _setup(cfg: dict):
-    """The model, the grid and the solver options (tol, max_iter, scheme) of a grid command."""
+    """The model, the grid and the solver options of a grid command: tol,
+    scheme and, when the config sets it, max_iter (else each solver keeps
+    its own budget)."""
     model, grid = build_model(cfg), build_grid_from_cfg(cfg)
-    block = cfg.get("solver", {})
     opts = {
-        "tol": float(block.get("tol", 1e-8)),
-        "max_iter": _integer(block, "max_iter", 100, "solver"),
-        "scheme": block.get("scheme", "hybrid"),
+        "tol": _get(cfg, "solver.tol", "number", 1e-8),
+        "scheme": _get(cfg, "solver.scheme", "text", "hybrid"),
     }
+    max_iter = _get(cfg, "solver.max_iter", "int>=1", None)
+    if max_iter is not None:
+        opts["max_iter"] = max_iter
     return model, grid, opts
 
 
 def _policy_from_cfg(cfg: dict, model: DiffusionModel, grid: Grid) -> MarkovPolicy:
-    block = cfg.get("policy", {"type": "constant", "index": 0})
-    kind = block.get("type", "constant")
-    if kind == "constant":
-        idx = _integer(block, "index", 0, "policy", low=0)
-        if not (0 <= idx < model.controls.n_controls):
-            raise ConfigError(f"policy index {idx} out of range")
-        return MarkovPolicy.constant(idx, grid.n_nodes)
-    raise ConfigError(f"unknown policy type {kind!r}")
+    idx = _get(cfg, "policy.index", "int>=0", 0)
+    if idx >= model.controls.n_controls:
+        raise ConfigError(f"policy.index {idx} out of range")
+    return MarkovPolicy.constant(idx, grid.n_nodes)
 
 
-def _named_xu_function(spec: dict):
-    name = spec.get("name")
+def _named_xu_function(cfg: dict, path: str):
+    """The function of (x, u) that the mapping at ``path`` names."""
+    name = _get(cfg, f"{path}.name", "text")
     if name == "one_plus_sq_norm":
         return lambda x, u: 1.0 + np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
     if name == "quadratic":
-        coeff = float(spec.get("coeff", 1.0))
+        coeff = _get(cfg, f"{path}.coeff", "number", 1.0)
         return lambda x, u: coeff * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
     if name == "const":
-        val = float(spec.get("value", 1.0))
+        val = _get(cfg, f"{path}.value", "number", 1.0)
         return lambda x, u: np.full(np.shape(np.asarray(x))[:-1], val)
-    raise ConfigError(f"unknown function name {name!r}")
+    raise ConfigError(f"{path}.name: unknown function name {name!r}")
 
 
 def _family_from_cfg(cfg: dict, model: DiffusionModel, grid: Grid):
-    block = _need(cfg, "perturb")
-    C3 = float(block.get("C3", 0.5))
-    if "h" in block:
-        return family_from_h(model, _named_xu_function(block["h"]), C3, grid=grid)
-    if "hbar" in block:
-        hbar = _named_xu_function(block["hbar"])
-        return build_h(model, grid, hbar, C3, collar_width=float(block.get("collar_width", 1.0)))
-    raise ConfigError("perturb block needs either 'h' or 'hbar'")
-
-
-def _optional_float(block: dict, key: str) -> Optional[float]:
-    value = block.get(key)
-    try:
-        return None if value is None else float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"simulation.{key} must be a number: {exc}") from exc
-
-
-def _whole(value):
-    """An integral float as its int (7.0 reads as 7); any other value as given,
-    for the validator to reject rather than truncate (1.5 does not read as 1)."""
-    return int(value) if isinstance(value, float) and value.is_integer() else value
-
-
-def _integer(block: dict, key: str, default: int, context: str, low: int = 1) -> int:
-    """``block[key]`` (``default`` when absent) through ``_whole``; a fraction,
-    bool or text, or a value below ``low``, raises ConfigError rather than
-    being truncated (a count of 0 spaces or points would check nothing)."""
-    value = _whole(block.get(key, default))
-    if not _is_int(value) or value < low:
-        raise ConfigError(f"{context}.{key} must be an integer >= {low}, got {value!r}")
-    return value
+    C3 = _get(cfg, "perturb.C3", "number", 0.5)
+    hbar = _get(cfg, "perturb.hbar", "mapping", None)
+    if _get(cfg, "perturb.h", "mapping", None) is not None:
+        return family_from_h(model, _named_xu_function(cfg, "perturb.h"), C3, grid=grid)
+    if hbar is not None:
+        return build_h(model, grid, _named_xu_function(cfg, "perturb.hbar"), C3)
+    raise ConfigError("perturb needs either an 'h' or an 'hbar' mapping")
 
 
 def _sim_config(cfg: dict, model: DiffusionModel, seed) -> SimulationConfig:
-    block = _need(cfg, "simulation")
-    try:
-        return SimulationConfig(
-            dt=float(block["dt"]),
-            horizon=float(block["horizon"]),
-            n_paths=_whole(block["n_paths"]),
-            seed=_whole(seed),
-            x0=block.get("x0", [0.0] * model.dim),
-            antithetic=bool(block.get("antithetic", False)),
-            record_mem=bool(block.get("record_mem", False)),
-            mem_stride=_whole(block.get("mem_stride", 10)),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"simulation block invalid: {exc}") from exc
+    return SimulationConfig(
+        dt=_get(cfg, "simulation.dt", "number"),
+        horizon=_get(cfg, "simulation.horizon", "number"),
+        n_paths=_get(cfg, "simulation.n_paths", "int>=1"),
+        seed=seed,
+        x0=_get(cfg, "simulation.x0", "numbers", [0.0] * model.dim),
+        antithetic=_get(cfg, "simulation.antithetic", "bool", False),
+        record_mem=_get(cfg, "simulation.record_mem", "bool", False),
+        mem_stride=_get(cfg, "simulation.mem_stride", "int>=1", 10),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +346,7 @@ def _node_table(points, names, *columns):
 def _cmd_eigen(cfg, seed):
     model, grid, opts = _setup(cfg)
     policy = _policy_from_cfg(cfg, model, grid)
-    pair = policy_value(model, grid, policy, tol=opts["tol"], scheme=opts["scheme"])
+    pair = policy_value(model, grid, policy, **opts)
     results = {
         "value": pair.value,
         "cw_lower": pair.cw_lower,
@@ -353,24 +372,21 @@ def _cmd_hjb(cfg, seed):
 
 def _cmd_game(cfg, seed):
     model, grid, opts = _setup(cfg)
-    block = cfg.get("game", {})
-    epsilon = float(block.get("epsilon", 0.0))
-    family = _family_from_cfg(cfg, model, grid) if epsilon > 0.0 else None
-    solve = {"tol": opts["tol"], "family": family, "scheme": opts["scheme"]}
+    epsilon = _get(cfg, "game.epsilon", "number", 0.0)
+    l = _get(cfg, "game.l", "number", 8.0)
+    L_star = _get(cfg, "game.L_star", "number", None)
+    l_list = _get(cfg, "sweep.l_list", "numbers", None)
+    opts["family"] = _family_from_cfg(cfg, model, grid) if epsilon > 0.0 else None
 
     results, tables = {}, {}
-    l_list = cfg.get("sweep", {}).get("l_list")
-    if l_list:
-        l_list = [float(l) for l in l_list]
-        entries = [[l, v] for l, v in game_value_sweep(model, grid, epsilon, l_list, **solve)]
+    if l_list is not None:
+        entries = [[l, v] for l, v in game_value_sweep(model, grid, epsilon, l_list, **opts)]
         results["game_entries"] = entries
         tables["rho_vs_l.csv"] = (["l", "rho"], entries)
         l = l_list[-1]
-    else:
-        l = float(block.get("l", 8.0))
-
-    L_star = float(block.get("L_star", default_truncation_rule(l)))
-    sol = solve_ergodic_game(model, grid, epsilon, l, L_star, **solve)
+    if L_star is None:
+        L_star = default_truncation_rule(l)
+    sol = solve_ergodic_game(model, grid, epsilon, l, L_star, **opts)
     tables["game_bias.csv"] = _node_table(grid.coords(), ["Psi"], sol.bias)
     results.update(
         {
@@ -386,17 +402,16 @@ def _cmd_game(cfg, seed):
 
 def _cmd_sweep_eps(cfg, seed):
     model, grid, opts = _setup(cfg)
+    fracs = _get(cfg, "sweep.eps_fracs", "numbers", None)
+    eps_list = _get(cfg, "sweep.eps_list", "numbers", None)
     family = _family_from_cfg(cfg, model, grid)
-    sweep = cfg.get("sweep", {})
-    if "eps_fracs" in sweep:
-        eps_list = [0.0] + [float(f) * family.eps0 for f in sweep["eps_fracs"]]
-    elif "eps_list" in sweep:
-        eps_list = [float(e) for e in sweep["eps_list"]]
-        if 0.0 not in eps_list:
-            eps_list = [0.0] + eps_list
-    else:
-        raise ConfigError("sweep block needs 'eps_fracs' or 'eps_list'")
-    res = epsilon_sweep(model, grid, family, eps_list, tol=opts["tol"], scheme=opts["scheme"])
+    if fracs is not None:
+        eps_list = [0.0] + [f * family.eps0 for f in fracs]
+    elif eps_list is None:
+        raise ConfigError("sweep needs 'eps_fracs' or 'eps_list'")
+    elif 0.0 not in eps_list:
+        eps_list = [0.0] + eps_list
+    res = epsilon_sweep(model, grid, family, eps_list, **opts)
     entries = [[e, v] for e, v in res.entries]
     results = {
         "epsilon_entries": entries,
@@ -409,10 +424,7 @@ def _cmd_sweep_eps(cfg, seed):
 
 def _cmd_sweep_kappa(cfg, seed):
     model, grid, opts = _setup(cfg)
-    kappas = cfg.get("sweep", {}).get("kappa")
-    if not kappas:
-        raise ConfigError("sweep block needs a 'kappa' list")
-    res = kappa_sweep(model, grid, kappas, tol=opts["tol"], scheme=opts["scheme"])
+    res = kappa_sweep(model, grid, _get(cfg, "sweep.kappa", "numbers"), **opts)
     entries = [[k, v, v - res.lambda_zero] for (k, v) in res.entries]
     header = ["kappa", "lambda_kappa", "lambda_zero_gap"]
     results = {"kappa_entries": entries, "lambda_zero": res.lambda_zero}
@@ -423,13 +435,14 @@ def _cmd_simulate(cfg, seed):
     model = build_model(cfg)
     grid = build_grid_from_cfg(cfg) if "grid" in cfg else None
     sim_cfg = _sim_config(cfg, model, seed)
+    L = _get(cfg, "simulation.truncation_L", "number", None)
+    per_path = _get(cfg, "output.per_path", "bool", False)
     policy = None
     if model.controls.n_controls > 1:
         if grid is None:
             raise ConfigError("multi-control simulation needs a grid for the policy")
         policy = _policy_from_cfg(cfg, model, grid)
     ens = simulate(model, policy, sim_cfg, grid=grid)
-    L = _optional_float(cfg["simulation"], "truncation_L")
     est = estimate_rsc_cost(ens, truncation_L=L)
     results = {
         "estimate": est.estimate,
@@ -438,14 +451,13 @@ def _cmd_simulate(cfg, seed):
         "digest": ens.digest(),
     }
     tables = {}
-    if cfg.get("output", {}).get("per_path", False):
+    if per_path:
         tables["paths.csv"] = _node_table(ens.terminal, ["cost_integral"], ens.cost_integral)
     if L is not None:
         results["truncated_estimate"] = est.truncated_estimate
         results["tail_mass"] = est.tail_mass
     if ens.mem_masses is not None:
-        radii = cfg.get("simulation", {}).get("mem_radii", [1.0, 2.0, 3.0, 4.0])
-        mem = mem_tightness_report(ens, radii)
+        mem = mem_tightness_report(ens, [1.0, 2.0, 3.0, 4.0])
         entries = [[r, m] for r, m in zip(mem["radii"], mem["mass_beyond"])]
         results["mem_entries"] = entries
         results["mem_tight"] = mem["tight"]
@@ -454,21 +466,13 @@ def _cmd_simulate(cfg, seed):
 
 
 def _cmd_verify_var(cfg, seed):
-    block = cfg.get("verify", {})
-    n_spaces = _integer(block, "n_spaces", 1000, "verify")
-    max_atoms = _integer(block, "max_atoms", 64, "verify", low=2)
-    f_range = float(block.get("f_range", 20.0))
-    # f is drawn from [-f_range, f_range], whose width must be finite (NaN fails too)
-    if not 0 < 2.0 * f_range < np.inf:
-        raise ConfigError(f"verify.f_range must be positive with 2 f_range finite, got {f_range!r}")
-    seed = _whole(seed)
-    if not _is_int(seed) or seed < 0:
-        raise ConfigError(f"verify.seed must be a non-negative integer, got {seed!r}")
+    n_spaces = _get(cfg, "verify.n_spaces", "int>=1", 1000)
+    f_range = _get(cfg, "verify.f_range", "positive", 20.0)
     rng = np.random.default_rng(seed)
     max_gap = 0.0
     ineq_ok = True
     for _ in range(n_spaces):
-        m = int(rng.integers(2, max_atoms + 1))
+        m = int(rng.integers(2, 65))  # 2 to 64 atoms
         p = rng.dirichlet(np.ones(m))
         p = np.maximum(p, 1e-12)
         p /= p.sum()
@@ -484,20 +488,17 @@ def _cmd_verify_var(cfg, seed):
 
 def _cmd_check_assumptions(cfg, seed):
     model, grid = build_model(cfg), build_grid_from_cfg(cfg)
-    block = _need(cfg, "assumptions")
-    lyap_spec = block.get("lyap", {})
-    if lyap_spec.get("type") != "quadratic":
+    if _get(cfg, "assumptions.lyap.type", "text") != "quadratic":
         raise ConfigError("assumptions.lyap.type must be 'quadratic'")
-    Q = np.asarray(_need(lyap_spec, "Q", "assumptions.lyap"), dtype=float)
-    lyap = QuadraticLyapLog(Q, const=float(lyap_spec.get("const", 0.0)))
-    hbar = _named_xu_function(_need(block, "hbar", "assumptions"))
-    constants = tuple(float(c) for c in _need(block, "constants", "assumptions"))
+    lyap = QuadraticLyapLog(_get(cfg, "assumptions.lyap.Q", "matrix"))
+    hbar = _named_xu_function(cfg, "assumptions.hbar")
+    constants = _get(cfg, "assumptions.constants", "numbers")
     if len(constants) != 3:
         raise ConfigError("assumptions.constants must be [C1, C2, C3]")
     coords = grid.coords()
-    stride = max(1, coords.shape[0] // _integer(block, "max_points", 2000, "assumptions"))
+    stride = max(1, coords.shape[0] // _get(cfg, "assumptions.max_points", "int>=1", 2000))
     samples = [(x, u) for x in coords[::stride] for u in model.controls.points]
-    report = check_assumptions(model, lyap, hbar, constants, samples)
+    report = check_assumptions(model, lyap, hbar, tuple(constants), samples)
     results = {
         "checked_points": report.checked_points,
         "n_violations": len(report.violations),
@@ -509,16 +510,12 @@ def _cmd_check_assumptions(cfg, seed):
 
 def _cmd_rep_check(cfg, seed):
     model, grid, opts = _setup(cfg)
-    block = _need(cfg, "rep_check")
-    R = float(block.get("R", 1.0))
-    pts = block.get("test_points")
-    if not pts:
-        raise ConfigError("rep_check.test_points required")
+    R = _get(cfg, "rep_check.R", "number", 1.0)
+    pts = _get(cfg, "rep_check.test_points", "matrix")
     sim_cfg = _sim_config(cfg, model, seed)
     sol = solve_hjb(model, grid, **opts)
-    twist = np.log(sol.V) if block.get("twist", True) else None
     rows = check_stochastic_representation(
-        model, sol.policy, sol.V, sol.value, R, pts, sim_cfg, grid, twist_log_psi=twist
+        model, sol.policy, sol.V, sol.value, R, pts, sim_cfg, grid, twist_log_psi=np.log(sol.V)
     )
     names = ["ratio", "stderr", "nonhit"]
     table = _node_table([r["point"] for r in rows], names, *([r[k] for r in rows] for k in names))
@@ -551,13 +548,14 @@ def run(command: str, config_path, out_dir=None, seed=None) -> dict:
     if command not in _DISPATCH:
         raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
     cfg = load_config(config_path)
-    out_dir = Path(out_dir or cfg.get("output", {}).get("directory", "."))
+    directory = _get(cfg, "output.directory", "text", ".")
+    if command == "verify-var":
+        cfg_seed = _get(cfg, "verify.seed", "int>=0", 0)
+    else:
+        cfg_seed = _get(cfg, "simulation.seed", "int>=0", 0) if "simulation" in cfg else None
+    seed = cfg_seed if seed is None else seed
+    out_dir = Path(out_dir or directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if seed is None:
-        if command == "verify-var":
-            seed = cfg.get("verify", {}).get("seed", 0)
-        elif "simulation" in cfg:
-            seed = cfg["simulation"].get("seed", 0)
 
     t0 = time.perf_counter()
     results, tables = _DISPATCH[command](cfg, seed)
@@ -599,7 +597,7 @@ def main(argv=None) -> int:
     except _SOLVER_ERRORS as exc:
         print(f"ERROR:solver: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, PerturbationError) as exc:
+    except (ValueError, OverflowError, PerturbationError) as exc:
         print(f"ERROR:config: {exc}", file=sys.stderr)
         return 2
     print(json.dumps({"command": report["command"], "results": report["results"]}, indent=2))

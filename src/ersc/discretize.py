@@ -119,18 +119,21 @@ _NODE_CAP = 2_000_000
 
 
 def build_grid(radii, counts) -> Grid:
-    """Build a grid; rejects counts < 3, nonpositive radii, or too many nodes."""
+    """Build a grid; rejects counts that are not integers >= 3, radii that are
+    not finite and positive, or too many nodes."""
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    counts = np.atleast_1d(np.asarray(counts, dtype=np.int64))
+    counts = np.atleast_1d(np.asarray(counts, dtype=float))
     if radii.shape != counts.shape:
         raise ValueError("radii and counts must have matching length")
-    if np.any(counts < 3):
-        raise ValueError("need at least 3 nodes per axis")
-    if np.any(radii <= 0):
-        raise ValueError("radii must be positive")
-    total = int(np.prod(counts))
+    # counts are not truncated (61.5 is an error, not 61); NaN and inf fail too
+    if not np.all((np.mod(counts, 1.0) == 0) & (counts >= 3)):
+        raise ValueError(f"counts must be integers >= 3, got {counts.tolist()}")
+    if not np.all((radii > 0) & (radii < np.inf)):
+        raise ValueError(f"radii must be finite and positive, got {radii.tolist()}")
+    total = np.prod(counts)
     if total > _NODE_CAP:
-        raise ValueError(f"grid would have {total} nodes, above cap {_NODE_CAP}")
+        raise ValueError(f"grid would have {total:.0f} nodes, above cap {_NODE_CAP}")
+    counts = counts.astype(np.int64)
     spacings = 2.0 * radii / (counts - 1)
     axes = tuple(np.linspace(-r, r, int(c)) for r, c in zip(radii, counts))
     mesh = np.meshgrid(*axes, indexing="ij")

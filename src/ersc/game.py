@@ -124,7 +124,8 @@ def inner_max_w(g, l: float):
     w* = g when |g| <= l, else l g / |g|; payoff |g|^2/2 inside,
     l|g| - l^2/2 on the boundary.
     """
-    if np.any(np.asarray(l) < 0):
+    # NaN fails the comparison, so this rejects it too
+    if not np.all(np.asarray(l) >= 0):
         raise ValueError("l must be nonnegative")
     g = np.asarray(g, dtype=float)
     norms = np.linalg.norm(g, axis=-1)
@@ -173,8 +174,8 @@ class _GameIteration:
     """
 
     def __init__(self, model, grid, r_all, l, L_star, scheme):
-        if l < 0:
-            raise ValueError("l must be nonnegative")
+        if not l >= 0:
+            raise ValueError(f"l must be nonnegative, got {l!r}")
         self.kernel = OperatorKernel(model, grid, scheme)
         self.grid = grid
         self.l = float(l)
@@ -320,6 +321,7 @@ def game_value_sweep(
     epsilon: float,
     l_list: Sequence[float],
     tol: float = 1e-9,
+    max_iter: int = 200,
     family=None,
     scheme: str = "hybrid",
 ):
@@ -328,6 +330,7 @@ def game_value_sweep(
 
     Returns a list of (l, rho_l); the sequence is non-decreasing up to solver
     tolerance and stabilizes near the optimal risk-sensitive value.
+    ``max_iter`` caps the Poisson solves of each game.
     """
     l_list = list(l_list)
     if any(b <= a for a, b in zip(l_list, l_list[1:])):
@@ -335,8 +338,8 @@ def game_value_sweep(
 
     def value(l):
         return solve_ergodic_game(
-            model, grid, epsilon, l, default_truncation_rule(l), tol=tol, family=family,
-            scheme=scheme,
+            model, grid, epsilon, l, default_truncation_rule(l), tol=tol, max_iter=max_iter,
+            family=family, scheme=scheme,
         ).value
 
     return [(l, value(l)) for l in l_list]

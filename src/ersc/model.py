@@ -420,15 +420,10 @@ class AssumptionReport:
 
 
 class QuadraticLyapLog:
-    """log-Lyapunov candidate of the form V(x) = x' Q x + c with exact derivatives."""
+    """log-Lyapunov candidate F(x) = log V(x) = x' Q x, given by its exact derivatives."""
 
-    def __init__(self, Q: np.ndarray, const: float = 0.0):
+    def __init__(self, Q: np.ndarray):
         self.Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        self.const = float(const)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.einsum("...i,ij,...j->...", x, self.Q, x) + self.const
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
@@ -452,7 +447,8 @@ def check_assumptions(
         L^u F(x) + |Sigma(x)' grad F(x)|^2 / 2  <=  C1 - hbar(x,u)   off K,
         L^u F(x) + |Sigma(x)' grad F(x)|^2 / 2  <=  C2 + C3 r(x,u)   on K,
 
-    recorded as slack = RHS - LHS at each sample.  ``lyap_log`` must expose
+    recorded as slack = RHS - LHS at each sample; a slack that is not finite
+    (a NaN hbar, say) is recorded as -inf, a violation.  ``lyap_log`` must expose
     exact ``grad``/``hess`` evaluators, as ``QuadraticLyapLog`` does.
 
     Raises:
@@ -492,6 +488,9 @@ def check_assumptions(
             rhs = C1 - float(hbar(x, u))
             which = "off_K"
         slack = rhs - lhs
+        # a non-finite slack certifies nothing: it is a violation, ranked worst
+        if not -math.inf < slack < math.inf:
+            slack = -math.inf
         if slack < worst:
             worst = slack
             worst_pt = (x.copy(), u.copy(), which)

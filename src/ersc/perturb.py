@@ -201,6 +201,7 @@ def epsilon_sweep(
     family: PerturbationFamily,
     eps_list: Sequence[float],
     tol: float = 1e-8,
+    max_iter: int = 60,
     scheme: str = "hybrid",
 ) -> EpsilonSweepResult:
     """Optimal values along a perturbation schedule, with convergence gaps.
@@ -212,7 +213,7 @@ def epsilon_sweep(
 
     Each point's Howard iteration starts from the previous point's optimal
     policy, which the next point's optimum is close to; the values agree
-    with cold per-point solves within ``tol``.
+    with cold per-point solves within ``tol``; ``max_iter`` caps each one's steps.
     """
     eps_list = [float(e) for e in eps_list]
     if 0.0 not in eps_list:
@@ -229,6 +230,7 @@ def epsilon_sweep(
             model,
             grid,
             tol=tol,
+            max_iter=max_iter,
             initial_policy=policy,
             cost_fn=perturbed_cost(family, e),
             scheme=scheme,
@@ -260,6 +262,7 @@ def kappa_sweep(
     grid: Grid,
     kappa_list: Sequence[float],
     tol: float = 1e-9,
+    max_iter: int = 200,
     scheme: str = "hybrid",
 ) -> KappaSweepResult:
     """Risk-neutral limit study: Lambda_kappa = lambda(kappa r) / kappa.
@@ -269,7 +272,7 @@ def kappa_sweep(
     kappa's optimal policy; each Lambda_kappa agrees with a cold per-point
     solve within ``tol``.  The conventional ergodic value Lambda_0 is computed
     independently by average-cost policy iteration and reported with the
-    gaps Lambda_kappa - Lambda_0.
+    gaps Lambda_kappa - Lambda_0.  ``max_iter`` caps the steps of every solve.
     """
     from .game import average_cost_solve
 
@@ -281,10 +284,11 @@ def kappa_sweep(
     entries, policy = [], None
     for k in kappa_list:
         sol = solve_hjb(
-            model, grid, tol=tol * k, initial_policy=policy, cost_scale=k, scheme=scheme
+            model, grid, tol=tol * k, max_iter=max_iter, initial_policy=policy, cost_scale=k,
+            scheme=scheme,
         )
         entries.append((k, sol.value / k))
         policy = sol.policy
-    lam0 = average_cost_solve(model, grid, tol=tol, scheme=scheme).value
+    lam0 = average_cost_solve(model, grid, tol=tol, max_iter=max_iter, scheme=scheme).value
     gaps = [v - lam0 for _, v in entries]
     return KappaSweepResult(entries=entries, lambda_zero=lam0, gaps=gaps)

@@ -1,4 +1,8 @@
+import ast
+import copy
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +290,7 @@ SIMULATION = {"dt": 0.01, "horizon": 0.1, "n_paths": 8, "seed": 0, "x0": [0.0]}
         ("verify-var", {"verify": {"n_spaces": 10, "f_range": float("inf")}}),
         ("verify-var", {"verify": {"n_spaces": 10, "f_range": 0.0}}),
         ("rep-check", {"rep_check": {"R": -1.0, "test_points": [[2.0]]}, "simulation": SIMULATION}),
+        ("verify-var", {"verify": {"n_spaces": 10, "f_range": 1.0e308}}),
     ],
     ids=[
         "zero-C1",
@@ -320,6 +325,7 @@ SIMULATION = {"dt": 0.01, "horizon": 0.1, "n_paths": 8, "seed": 0, "x0": [0.0]}
         "f-range-inf",
         "f-range-zero",
         "rep-check-R-negative",
+        "f-range-huge",
     ],
 )
 def test_invalid_config_exit_code(tmp_path, capsys, command, extra):
@@ -334,7 +340,25 @@ class _Stop(Exception):
     pass
 
 
-def test_solver_block_reaches_kappa_sweep_and_rep_check(tmp_path, monkeypatch):
+# the solver each command calls first; a spy on these proves that a config
+# error was raised before any solve
+SOLVERS = (
+    "policy_value",
+    "solve_hjb",
+    "solve_ergodic_game",
+    "game_value_sweep",
+    "epsilon_sweep",
+    "kappa_sweep",
+    "simulate",
+    "check_assumptions",
+    "gibbs_identity_check",
+)
+
+
+@pytest.fixture
+def solver_spy(monkeypatch):
+    """Replace every solver in ``ersc.cli`` by a spy that records its keyword
+    arguments and stops the command; returns the {name: kwargs} record."""
     seen = {}
 
     def spy(name):
@@ -344,19 +368,260 @@ def test_solver_block_reaches_kappa_sweep_and_rep_check(tmp_path, monkeypatch):
 
         return record
 
-    monkeypatch.setattr(ersc.cli, "kappa_sweep", spy("kappa_sweep"))
-    monkeypatch.setattr(ersc.cli, "solve_hjb", spy("solve_hjb"))
-    solver = {"solver": {"tol": 1e-7, "max_iter": 37}}
-    path = write_cfg(tmp_path, dict(solver, sweep={"kappa": [1.0]}), base=OU_61)
-    with pytest.raises(_Stop):
-        run("sweep-kappa", path, out_dir=tmp_path / "k")
-    assert seen["kappa_sweep"]["tol"] == 1e-7
-    extra = dict(solver, rep_check={"test_points": [[2.0]]}, simulation=SIMULATION)
-    path = write_cfg(tmp_path, extra, name="rep.yaml", base=OU_61)
-    with pytest.raises(_Stop):
-        run("rep-check", path, out_dir=tmp_path / "r")
-    assert seen["solve_hjb"]["tol"] == 1e-7
-    assert seen["solve_hjb"]["max_iter"] == 37
+    for name in SOLVERS:
+        monkeypatch.setattr(ersc.cli, name, spy(name))
+    return seen
+
+
+PERTURB = {"C3": 0.5, "h": {"name": "one_plus_sq_norm"}}
+GRID_COMMANDS = [
+    ("eigen", {}, "policy_value"),
+    ("hjb", {}, "solve_hjb"),
+    ("game", {"game": {"l": 4.0}}, "solve_ergodic_game"),
+    ("game", {"sweep": {"l_list": [2.0, 4.0]}}, "game_value_sweep"),
+    ("sweep-eps", {"perturb": PERTURB, "sweep": {"eps_fracs": [0.05]}}, "epsilon_sweep"),
+    ("sweep-kappa", {"sweep": {"kappa": [1.0]}}, "kappa_sweep"),
+    ("rep-check", {"rep_check": {"test_points": [[2.0]]}, "simulation": SIMULATION}, "solve_hjb"),
+]
+
+
+def test_solver_block_reaches_kappa_sweep_and_rep_check(tmp_path, solver_spy):
+    # every grid command hands tol, scheme and max_iter to its first solver;
+    # without solver.max_iter it passes none, so the solver keeps its own budget
+    for k, (command, extra, solver) in enumerate(GRID_COMMANDS):
+        solver_spy.clear()
+        block = {"solver": {"tol": 1e-7, "max_iter": 37, "scheme": "upwind"}}
+        path = write_cfg(tmp_path, dict(extra, **block), name=f"{k}.yaml", base=OU_61)
+        with pytest.raises(_Stop):
+            run(command, path, out_dir=tmp_path / "o")
+        assert solver_spy[solver]["tol"] == 1e-7
+        assert solver_spy[solver]["max_iter"] == 37
+        assert solver_spy[solver]["scheme"] == "upwind"
+        path = write_cfg(tmp_path, dict(extra, solver={}), name=f"{k}d.yaml", base=OU_61)
+        with pytest.raises(_Stop):
+            run(command, path, out_dir=tmp_path / "o")
+        assert "max_iter" not in solver_spy[solver]
+
+
+@pytest.mark.parametrize("command, extra", [("eigen", {}), ("sweep-kappa", {"sweep": {"kappa": [1.0]}})])
+def test_max_iter_one_exhausts_the_budget(tmp_path, capsys, command, extra):
+    path = write_cfg(tmp_path, dict(extra, solver={"max_iter": 1}), base=OU_61)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("ERROR:solver:")
+
+
+def test_simulate_per_path_table(tmp_path):
+    path = write_cfg(tmp_path, {"simulation": SIMULATION, "output": {"per_path": True}}, base=OU_61)
+    report = run("simulate", path, out_dir=tmp_path / "out")
+    rows = (tmp_path / "out" / "paths.csv").read_text().splitlines()
+    assert rows[0] == "x0,cost_integral"
+    assert len(rows) == 1 + SIMULATION["n_paths"]
+    assert np.isfinite(report["results"]["estimate"])
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "command, extra, key",
+    [
+        ("eigen", {"solver": [1]}, "solver"),
+        ("eigen", {"grid": None}, "grid"),
+        ("sweep-kappa", {"sweep": {"kappa": 0.5}}, "sweep.kappa"),
+        (
+            "rep-check",
+            {"rep_check": {"test_points": 2.0}, "simulation": SIMULATION},
+            "rep_check.test_points",
+        ),
+        (
+            "sweep-eps",
+            {"perturb": {"h": "one_plus_sq_norm"}, "sweep": {"eps_fracs": [0.05]}},
+            "perturb.h",
+        ),
+        ("eigen", {"model": {"name": "ou_lq", "params": {"a": -1.0, "sigma": NAN}}}, "sigma"),
+        ("simulate", {"simulation": dict(SIMULATION, antithetic="false")}, "antithetic"),
+        ("simulate", {"simulation": SIMULATION, "output": {"per_path": "no"}}, "per_path"),
+        ("eigen", {"grid": {"radii": [6.0], "counts": [61.5]}}, "counts"),
+        ("eigen", {"grid": {"radii": [NAN], "counts": [61]}}, "radii"),
+        ("game", {"game": {"l": NAN}}, "game.l"),
+        ("game", {"game": {"l": 4.0, "L_star": NAN}}, "game.L_star"),
+        ("game", {"game": {"L_star": NAN}, "sweep": {"l_list": [2.0, 4.0]}}, "game.L_star"),
+    ],
+    ids=[
+        "solver-list",
+        "grid-null",
+        "kappa-scalar",
+        "test-points-scalar",
+        "perturb-h-text",
+        "sigma-nan",
+        "antithetic-text",
+        "per-path-text",
+        "counts-fraction",
+        "radii-nan",
+        "game-l-nan",
+        "L-star-nan",
+        "L-star-nan-after-l-sweep",
+    ],
+)
+def test_malformed_config_exits_2_before_any_solve(tmp_path, capsys, solver_spy, command, extra, key):
+    # a malformed block or value, a flag given as text, a non-integral count and
+    # a NaN anywhere are config errors, found before the first solve
+    path = write_cfg(tmp_path, extra, base=OU_61)
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2 and not solver_spy
+    assert err.startswith("ERROR:config:") and err.count("\n") == 1 and key in err
+
+
+# base configs that together read every key; each reaches its first solver
+W_MODEL = {
+    "name": "w_network",
+    "params": {
+        "arrival_rates": [1.0, 1.0, 1.0],
+        "service_rates": [[1.0, 0.0], [1.0, 2.0], [0.0, 1.5]],
+        "l_vec": [-0.5, -0.5, -0.5],
+        "cost_weights": [1.0, 2.0, 3.0],
+        "n_controls": 1,
+        "region_delta": 0.2,
+    },
+}
+AFFINE_MODEL = {
+    "name": "affine_quadratic",
+    "params": {
+        "dim": 1,
+        "drift": {"linear": [[-1.0]], "control": [[1.0]], "const": [0.0]},
+        "sigma": [[1.0]],
+        "cost": {"xx": [[0.75]], "uu": [[0.0]], "const": 0.0},
+        "controls": {"points": [[0.0]]},
+    },
+}
+LQ_3 = {"name": "ou_lq", "params": {"a": -1.0, "sigma": 1.0, "q": 1.0, "c": 1.0, "u_max": 1.0, "n_controls": 3}}
+FULL_SIMULATION = dict(SIMULATION, antithetic=True, record_mem=True, mem_stride=2, truncation_L=1.5)
+KEY_BASES = [
+    ("eigen", dict(OU_61, policy={"index": 0}, output={"directory": "."})),
+    ("eigen", {"model": W_MODEL, "grid": {"radii": [4.0] * 3, "counts": [5] * 3}}),
+    ("eigen", dict(OU_61, model=AFFINE_MODEL)),
+    ("hjb", OU_61),
+    (
+        "game",
+        dict(
+            OU_61,
+            game={"epsilon": 0.01, "l": 4.0, "L_star": 20.0},
+            perturb={"C3": 0.5, "h": {"name": "quadratic", "coeff": 1.0}},
+            sweep={"l_list": [2.0, 4.0]},
+        ),
+    ),
+    (
+        "sweep-eps",
+        dict(
+            OU_61,
+            perturb={"C3": 0.5, "hbar": {"name": "const", "value": 1.0}},
+            sweep={"eps_fracs": [0.05], "eps_list": [0.01]},
+        ),
+    ),
+    ("sweep-kappa", dict(OU_61, sweep={"kappa": [1.0]})),
+    ("simulate", dict(OU_61, model=LQ_3, simulation=FULL_SIMULATION, output={"per_path": True})),
+    ("verify-var", {"verify": {"n_spaces": 2, "f_range": 1.0, "seed": 0}}),
+    ("check-assumptions", dict(OU_61, assumptions=dict(ASSUMPTIONS, max_points=100))),
+    ("rep-check", dict(OU_61, rep_check={"R": 1.0, "test_points": [[2.0]]}, simulation=SIMULATION)),
+]
+FUNCTION_SPECS = r"^(perturb\.h|perturb\.hbar|assumptions\.hbar)\."
+
+
+def _malformed(kind):
+    """Values that a key of ``kind`` must reject: non-finite, wrong type, out of range."""
+    if kind.startswith("int>="):
+        low = int(kind[5:])
+        return [NAN, float("inf"), low + 0.5, True, "text", low - 1, [low]]
+    inf = float("inf")
+    return {
+        "number": [NAN, inf, -inf, True, "text", [1.0]],
+        "positive": [NAN, inf, -inf, 0.0, -1.0, True, "text"],
+        "numbers": [[NAN], [inf], [-inf], 1.0, [True], ["text"], [], [[1.0]]],
+        "matrix": [[[NAN]], [[inf]], 1.0, [1.0], [[True]], "text", [], [[1.0], [1.0, 2.0]]],
+        "bool": ["false", "no", 1, 0.0],
+        "mapping": [[1.0], 1.0, "text"],
+        "text": [1.0, True, [1.0]],
+    }[kind]
+
+
+def _set(cfg, path, value):
+    cfg = copy.deepcopy(cfg)
+    *blocks, key = path.split(".")
+    node = cfg
+    for block in blocks:
+        node = node.setdefault(block, {})
+    node[key] = value
+    return cfg
+
+
+def _key_reads(tmp_path, monkeypatch):
+    """(command, base, path, kind) for the first base that reads each (path, kind)."""
+    reads, real = [], ersc.cli._get
+
+    def recording(cfg, path, kind, *default):
+        reads.append((path, kind))
+        return real(cfg, path, kind, *default)
+
+    monkeypatch.setattr(ersc.cli, "_get", recording)
+    found = {}
+    for command, base in KEY_BASES:
+        reads.clear()
+        with pytest.raises(_Stop):
+            run(command, write_cfg(tmp_path, base=base), out_dir=tmp_path / "o")
+        for path, kind in reads:
+            found.setdefault((path, kind), (command, base))
+    monkeypatch.setattr(ersc.cli, "_get", real)
+    return [(command, base, path, kind) for (path, kind), (command, base) in found.items()]
+
+
+def test_every_key_rejects_malformed_values(tmp_path, capsys, monkeypatch, solver_spy):
+    # every key, each with every malformed value of its kind and every block on
+    # its path replaced by a list: exit 2, one line naming it, and no solve
+    reads = _key_reads(tmp_path, monkeypatch)
+    assert {re.sub(FUNCTION_SPECS, "<f>.", p) for _, _, p, _ in reads} == set(README_KEYS)
+    cases = {}
+    for command, base, path, kind in reads:
+        for value in _malformed(kind):
+            cases[command, path, f"{value!r} ({kind})"] = (base, path, value)
+        keys = path.split(".")
+        for depth in range(1, len(keys)):
+            block = ".".join(keys[:depth])
+            cases.setdefault((command, block, "list"), (base, block, [1.0]))
+    failures = []
+    for (command, named, value), (base, path, bad) in cases.items():
+        solver_spy.clear()
+        cfg_path = write_cfg(tmp_path, base=_set(base, path, bad))
+        rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        ok = err.startswith("ERROR:config:") and err.count("\n") == 1 and named in err
+        if rc != 2 or solver_spy or not ok:
+            failures.append(f"{command} {named}={value}: exit {rc}, {err.strip()!r}")
+    assert len(cases) > 400
+    assert not failures, "\n".join(failures[:20])
+
+
+README_TABLE = (Path(__file__).resolve().parent.parent / "README.md").read_text().split(
+    "### Config keys"
+)[1]
+README_KEYS = re.findall(r"^\| `([^`]+)` \|", README_TABLE, re.MULTILINE)
+
+
+def test_readme_key_table_matches_reader():
+    # the README table lists each path passed to _get once; an f-string path
+    # reads as the function spec <f>.  Its row count is the knob count.
+    paths = set()
+    for node in ast.walk(ast.parse(Path(ersc.cli.__file__).read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_get":
+            arg = node.args[1]
+            if isinstance(arg, ast.JoinedStr):
+                paths.add("".join(v.value if isinstance(v, ast.Constant) else "<f>" for v in arg.values))
+            else:
+                paths.add(arg.value)
+    assert len(README_KEYS) == len(set(README_KEYS))
+    assert set(README_KEYS) == paths
+    stated = re.search(r"The table has (\d+) keys", README_TABLE)
+    assert int(stated.group(1)) == len(README_KEYS) == 59
 
 
 def test_verify_var_report_records_its_seed(tmp_path):

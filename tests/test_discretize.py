@@ -46,6 +46,12 @@ def test_build_grid_rejections():
         build_grid([-1.0], [5])
     with pytest.raises(ValueError):
         build_grid([1.0, 1.0, 1.0], [300, 300, 300])
+    # counts are not truncated, and a radius must be finite
+    with pytest.raises(ValueError, match="counts must be integers"):
+        build_grid([6.0], [61.5])
+    for radius in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_grid([radius], [61])
 
 
 def test_pure_diffusion_stencil():

@@ -36,6 +36,20 @@ def test_inner_max_examples():
     assert np.isclose(p, 4.5)
 
 
+def test_nan_drift_bound_raises_before_any_poisson_solve(monkeypatch):
+    # NaN fails every comparison, so a bound check must not be written as "l < 0"
+    with pytest.raises(ValueError, match="nonnegative"):
+        inner_max_w(np.ones(2), np.nan)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a Poisson solve ran")
+
+    monkeypatch.setattr(game, "solve_poisson", no_solve)
+    m = builtin_ou_lq(a=-1.0, sigma=1.0, q=0.75, c=0.0, u_max=0.0, n_controls=1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_ergodic_game(m, build_grid([6.0], [61]), 0.0, np.nan, 20.0)
+
+
 def test_inner_max_beats_sampling():
     rng = np.random.default_rng(4)
     for _ in range(30):

@@ -178,6 +178,21 @@ def test_w_network_assumption_constants(w_network):
     assert report.ok, f"worst slack {report.worst_slack} at {report.worst_point}"
 
 
+def test_check_assumptions_counts_non_finite_slack_as_violation(w_network):
+    # a NaN hbar certifies nothing off K: every sample there is a violation
+    from ersc.discretize import build_grid
+
+    lyap = QuadraticLyapLog(np.diag([0.2, 0.1, 0.1]))
+    hbar = lambda x, u: np.nan * np.sum(np.asarray(x) ** 2, axis=-1)
+    coords = build_grid([4.0] * 3, [7] * 3).coords()
+    samples = [(x, u) for x in coords for u in w_network.controls.points]
+    report = check_assumptions(w_network, lyap, hbar, (1.25, 5.5, 0.5), samples)
+    assert not report.ok
+    assert report.worst_slack == -np.inf
+    off_K = ~np.asarray(w_network.region_K.inside(coords))
+    assert len(report.violations) == off_K.sum() * len(w_network.controls.points)
+
+
 def test_sigma_products_constant_and_per_node():
     rng = np.random.default_rng(3)
     S = rng.normal(size=(3, 3))

@@ -248,3 +248,27 @@ def test_warm_started_epsilon_sweep(lq_model, monkeypatch):
     for e, v in res.entries:
         cold = solve_hjb(lq_model, grid, tol=1e-8, cost_fn=perturbed_cost(fam, e))
         assert abs(v - cold.value) <= 1e-8
+
+
+def test_sweeps_hand_max_iter_to_every_solve(monkeypatch, ou_uncontrolled):
+    import ersc.game
+
+    seen = []
+
+    def spy(real):
+        def call(*args, **kwargs):
+            seen.append((real.__name__, kwargs["max_iter"]))
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(ersc.perturb, "solve_hjb", spy(solve_hjb))
+    for name in ("average_cost_solve", "solve_ergodic_game"):
+        monkeypatch.setattr(ersc.game, name, spy(getattr(ersc.game, name)))
+    grid = build_grid([6.0], [61])
+    kappa_sweep(ou_uncontrolled, grid, [1.0, 0.5], max_iter=50)
+    family = family_from_h(ou_uncontrolled, lambda x, u: 1.0 + np.sum(x**2, axis=-1), 0.5, grid)
+    epsilon_sweep(ou_uncontrolled, grid, family, [0.0, 0.01], max_iter=50)
+    ersc.game.game_value_sweep(ou_uncontrolled, grid, 0.0, [2.0, 4.0], max_iter=50)
+    names = ["solve_hjb"] * 2 + ["average_cost_solve"] + ["solve_hjb"] * 2 + ["solve_ergodic_game"] * 2
+    assert seen == [(name, 50) for name in names]
