@@ -60,8 +60,8 @@ def brute_force_crosscheck():
     grid = build_grid([2.0], [7])
     kernel = OperatorKernel(model, grid)
     mats = []
-    for u, b in zip(model.controls.points, model.drift_table(kernel.coords)):
-        Q = kernel.assemble(b).toarray()
+    for i, u in enumerate(model.controls.points):
+        Q = kernel.assemble_policy(MarkovPolicy.constant(i, grid.n_nodes)).toarray()
         mats.append(Q + np.diag(np.asarray(model.cost(kernel.coords, u), dtype=float)))
     best = np.inf
     for assign in itertools.product(range(2), repeat=grid.n_nodes):

@@ -468,6 +468,8 @@ def _cmd_simulate(cfg, seed):
 def _cmd_verify_var(cfg, seed):
     n_spaces = _get(cfg, "verify.n_spaces", "int>=1", 1000)
     f_range = _get(cfg, "verify.f_range", "positive", 20.0)
+    if not 2.0 * f_range < np.inf:
+        raise ConfigError(f"verify.f_range: 2 * {f_range!r} exceeds the float range")
     rng = np.random.default_rng(seed)
     max_gap = 0.0
     ineq_ok = True
@@ -510,7 +512,7 @@ def _cmd_check_assumptions(cfg, seed):
 
 def _cmd_rep_check(cfg, seed):
     model, grid, opts = _setup(cfg)
-    R = _get(cfg, "rep_check.R", "number", 1.0)
+    R = _get(cfg, "rep_check.R", "positive", 1.0)
     pts = _get(cfg, "rep_check.test_points", "matrix")
     sim_cfg = _sim_config(cfg, model, seed)
     sol = solve_hjb(model, grid, **opts)

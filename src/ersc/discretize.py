@@ -18,12 +18,14 @@ terms are differenced per the ``scheme`` argument, monotone either way:
 One list of stencil edges (axial +/- per axis, four corner edges per
 correlated axis pair) drives both sparse assembly and direct row-application
 to a vector, so policy-improvement sweeps and assembled matrices agree to
-rounding.  Row-application takes a stack of per-control drift fields and
-returns the rows of every control in one call.
+rounding.
 
-``OperatorKernel`` owns the drift rates of the model's controls and assembles
-plain ``scipy.sparse.csr_matrix`` generators from them.  A relaxed policy mixes
-the per-control transition rates by its weights, as in the Markov-chain
+``OperatorKernel`` keeps one table of per-control transition rates, the
+(minus, plus) drift rates of every control (``rates``), and reads every HJB
+row and every generator from it: the rows min_u (Q^u V + r^u V) apply the
+whole table, and a policy's generator is assembled, as a plain
+``scipy.sparse.csr_matrix``, from the rates the policy picks.  A relaxed
+policy mixes the per-control rates by its weights, as in the Markov-chain
 approximation of Kushner & Dupuis (*Numerical Methods for Stochastic Control
 Problems in Continuous Time*, 2001): its rows are the weighted rows of the
 precise generators.
@@ -166,19 +168,20 @@ class _Edge(NamedTuple):
 
 
 class OperatorKernel:
-    """Precomputed stencil data for one (model, grid, scheme) triple.
+    """Precomputed stencil data and per-control rate table for one
+    (model, grid, scheme) triple.
 
-    Splits the generator into a control-independent diffusion part and a
-    drift part parametrized by per-node drift vectors, so a policy sweep can
-    evaluate (Q^u V) for every control without assembling matrices.  The
-    kernel owns the (minus, plus) ``control_rates`` of every control, (k, n, d)
-    each: ``control_rows`` applies them and ``assemble_policy`` assembles from
-    them, so callers pass policies and auxiliary drifts, never the table.  The
-    rates are differenced once, on first use, and the drift table they come
-    from is not kept; only the auxiliary-drift paths, which difference
-    ``drift_table + aux`` on every call, and the game's held-policy row
-    materialise it.  Assembly returns a plain ``scipy.sparse.csr_matrix``.
-    A grid whose dimension differs from the model's raises ValueError.
+    The generator splits into a control-independent diffusion part and a
+    drift part.  ``rates(aux_drift)`` is the one source of drift rates: the
+    (minus, plus) rates of every control, (k, n, d) each, differenced from
+    the model's drift table plus an optional auxiliary drift.  Without one
+    they are differenced once, on first use, and the table is not kept.
+    Every row and generator is read from these rates: ``apply`` evaluates
+    (Q V) for all controls' (k, n, d) rates or a policy's (n, d) pick of
+    them, and ``assemble`` builds a plain ``scipy.sparse.csr_matrix`` from a
+    policy's pick; ``control_rows`` and ``assemble_policy`` do both for
+    callers that pass policies and auxiliary drifts, never rates.  A grid
+    whose dimension differs from the model's raises ValueError.
     """
 
     def __init__(self, model, grid: Grid, scheme: str = "hybrid"):
@@ -197,6 +200,7 @@ class OperatorKernel:
         self.coords = grid.coords()
         self.I = grid.multi_indices()
         self.strides = grid.strides()
+        self._own_rates = self._aux_rates = None
 
         A = model.diffusion_matrix(self.coords)
         A = np.broadcast_to(np.asarray(A, dtype=float), (self.n, self.dim, self.dim))
@@ -253,33 +257,28 @@ class OperatorKernel:
     def drift_table(self) -> np.ndarray:
         """(k, n, d) drift b(x_i, u_k) of every control, computed on first use.
 
-        Only the auxiliary-drift paths and the game's held-policy row read it;
-        the rows and generators of the controls' own drifts come from
-        ``control_rates``.
+        Only ``rates`` with an auxiliary drift reads it.
         """
         return self.model.drift_table(self.coords)
 
-    @functools.cached_property
-    def control_rates(self):
+    def rates(self, aux_drift: Optional[np.ndarray] = None):
         """(minus, plus) drift rates of every control, (k, n, d) each.
 
-        Differenced once, on first use, from the model's drift table, which
-        is not kept.
+        ``aux_drift`` (n, d) is added to every control's drift before
+        differencing, so the combined operator stays monotone.  Without it
+        the rates are differenced once, on first use, from the model's drift
+        table, which is not kept.  The rates of the last auxiliary drift are
+        kept too: the game passes each new drift twice, to evaluate the
+        step's rows and then the next step's generator.
         """
-        return self._difference(self.model.drift_table(self.coords))
-
-    # -- drift differencing -------------------------------------------------
-
-    def drift_rates(self, b_vals: np.ndarray):
-        """Per-node transition-rate contributions (minus, plus) of a drift field.
-
-        ``b_vals`` is one (n, d) field or a (k, n, d) stack of them; the rates
-        have the same shape.
-        """
-        b = np.asarray(b_vals, dtype=float)
-        if b.ndim < 3:
-            b = b.reshape(self.n, self.dim)
-        return self._difference(b)
+        if aux_drift is None:
+            if self._own_rates is None:
+                self._own_rates = self._difference(self.model.drift_table(self.coords))
+            return self._own_rates
+        aux = np.reshape(aux_drift, (self.n, self.dim))
+        if self._aux_rates is None or not np.array_equal(aux, self._aux_rates[0]):
+            self._aux_rates = (aux.copy(), self._difference(self.drift_table + aux))
+        return self._aux_rates[1]
 
     def _difference(self, b: np.ndarray):
         # one division; halving b / h is exact, so the central rates equal
@@ -302,49 +301,31 @@ class OperatorKernel:
             out += e.rate * (V[e.target] - V)
         return out
 
-    def apply_drift(self, b_vals: Optional[np.ndarray], V: np.ndarray) -> np.ndarray:
-        """First-order part of Q V for the drift field ``b_vals``.
-
-        A (n, d) field gives shape (n,); a (k, n, d) stack of per-control
-        fields gives the (k, n) rows of every control at once, and None the
-        rows of the kernel's own controls, from ``control_rates``.
-        """
+    def apply_drift(self, minus: np.ndarray, plus: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """First-order part of Q V under the drift rates (minus, plus): shape
+        (n,) for one policy's (n, d) rates, (k, n) for every control's."""
         V = np.asarray(V, dtype=float)
-        if b_vals is None:
-            minus, plus = self.control_rates
-        else:
-            minus, plus = self.drift_rates(b_vals)
         out = np.zeros(plus.shape[:-1])
         for e in self.edges:
             if e.side:
-                rates = plus if e.side > 0 else minus
+                rate = plus if e.side > 0 else minus
                 # an invalid edge targets its own node: its difference is 0
-                out += rates[..., e.axis] * (V[e.target] - V)
+                out += rate[..., e.axis] * (V[e.target] - V)
         return out
 
-    def apply(self, b_vals: Optional[np.ndarray], V: np.ndarray) -> np.ndarray:
-        """(Q V) for a (n, d) drift field, or its (k, n) rows for a (k, n, d)
-        stack or for None, the kernel's own controls."""
-        return self.apply_diffusion(V) + self.apply_drift(b_vals, V)
+    def apply(self, minus: np.ndarray, plus: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """(Q V) under the drift rates (minus, plus), shaped as ``apply_drift``."""
+        return self.apply_diffusion(V) + self.apply_drift(minus, plus, V)
 
     def control_rows(self, V: np.ndarray, aux_drift: Optional[np.ndarray] = None) -> np.ndarray:
         """(k, n) rows Q^u V of every control, with ``aux_drift`` (n, d) added
         to each control's drift."""
-        if aux_drift is None:
-            return self.apply(None, V)
-        return self.apply(self._with_aux(aux_drift), V)
-
-    def _with_aux(self, aux_drift: np.ndarray) -> np.ndarray:
-        return self.drift_table + np.reshape(aux_drift, (self.n, self.dim))
+        return self.apply(*self.rates(aux_drift), V)
 
     # -- sparse assembly ------------------------------------------------------
 
-    def assemble(self, b_vals: np.ndarray) -> sp.csr_matrix:
-        """Assemble the sparse generator for the drift field ``b_vals``."""
-        return self._assemble(*self.drift_rates(b_vals))
-
-    def _assemble(self, minus: np.ndarray, plus: np.ndarray) -> sp.csr_matrix:
-        """Sparse generator from the (n, d) drift rates of ``drift_rates``."""
+    def assemble(self, minus: np.ndarray, plus: np.ndarray) -> sp.csr_matrix:
+        """Sparse generator under one policy's (n, d) drift rates."""
         import scipy.sparse as sp
 
         rows, cols, vals = [], [], []
@@ -368,21 +349,12 @@ class OperatorKernel:
         ).tocsr()
 
     def assemble_policy(self, policy, aux_drift: Optional[np.ndarray] = None) -> sp.csr_matrix:
-        """Sparse generator under a Markov policy.
+        """Sparse generator under a Markov policy, from its pick of
+        ``rates(aux_drift)``.
 
-        ``aux_drift`` (n, d) is added to every control's drift before
-        differencing, so the combined operator stays monotone.  A relaxed
-        policy mixes the per-control drift rates by its weights, which mixes
-        the rows of the per-control generators; mixing the drift instead
-        differs, as upwind rates are not linear in b.  Without ``aux_drift``
-        the rates are picked from ``control_rates``.
+        A relaxed policy mixes the per-control rates by its weights, which
+        mixes the rows of the per-control generators; mixing the drift
+        instead differs, as upwind rates are not linear in b.
         """
-        if aux_drift is None:
-            minus, plus = self.control_rates
-        else:
-            b_all = self._with_aux(aux_drift)
-            if not policy.is_relaxed:
-                return self.assemble(policy.pick(b_all))
-            minus, plus = self.drift_rates(b_all)
-        return self._assemble(policy.pick(minus), policy.pick(plus))
-
+        minus, plus = self.rates(aux_drift)
+        return self.assemble(policy.pick(minus), policy.pick(plus))

@@ -169,13 +169,17 @@ class _GameIteration:
     """The alternating Howard loop on the average-cost Poisson equation.
 
     ``r_all`` is the (k, n) running-cost table; the payoff caps it at L*.
-    l = 0 leaves the adversary no room, so w stays 0 and adds no drift: the
-    rows and generators come from the kernel's cached control rates.
+    Every row and generator comes from the kernel's rates under the current
+    auxiliary drift.  l = 0 leaves the adversary no room, so w stays 0 and
+    adds no drift: the rates are the kernel's cached ones.
     """
 
     def __init__(self, model, grid, r_all, l, L_star, scheme):
+        # NaN fails both comparisons; L* = inf (no payoff cap) passes
         if not l >= 0:
             raise ValueError(f"l must be nonnegative, got {l!r}")
+        if not L_star >= 0:
+            raise ValueError(f"L_star must be nonnegative, got {L_star!r}")
         self.kernel = OperatorKernel(model, grid, scheme)
         self.grid = grid
         self.l = float(l)
@@ -210,11 +214,10 @@ class _GameIteration:
 
     def improve_v(self, psi: np.ndarray, w: np.ndarray, held=None) -> np.ndarray:
         """The (k, n) rows of every control, or the (n,) row of a held policy."""
-        aux = self.aux_drift(w)
+        minus, plus = self.kernel.rates(self.aux_drift(w))
         if held is None:
-            return self.kernel.control_rows(psi, aux) + self.rc_all
-        b = held.pick(self.kernel.drift_table)
-        return self.kernel.apply(b if aux is None else b + aux, psi) + held.pick(self.rc_all)
+            return self.kernel.apply(minus, plus, psi) + self.rc_all
+        return self.kernel.apply(held.pick(minus), held.pick(plus), psi) + held.pick(self.rc_all)
 
     def solve(self, v: MarkovPolicy, tol: float, max_iter: int, hold_v: bool = False):
         """Howard's driver on the pair (v, w) from (v, w = 0), stepped as in

@@ -114,8 +114,8 @@ def test_criterion_04_brute_force_equivalence():
         grid = build_grid(radii, counts)
         kernel = OperatorKernel(model, grid, "hybrid")
         mats = []
-        for u, b in zip(model.controls.points, model.drift_table(kernel.coords)):
-            Q = kernel.assemble(b).toarray()
+        for i, u in enumerate(model.controls.points):
+            Q = kernel.assemble_policy(MarkovPolicy.constant(i, grid.n_nodes)).toarray()
             r = np.asarray(model.cost(kernel.coords, u), dtype=float)
             mats.append(Q + np.diag(r))
         k, n = len(mats), grid.n_nodes

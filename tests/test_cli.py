@@ -328,12 +328,25 @@ SIMULATION = {"dt": 0.01, "horizon": 0.1, "n_paths": 8, "seed": 0, "x0": [0.0]}
         "f-range-huge",
     ],
 )
-def test_invalid_config_exit_code(tmp_path, capsys, command, extra):
+def test_invalid_config_exit_code(tmp_path, capsys, monkeypatch, command, extra):
+    hjb_calls = []
+    real = ersc.cli.solve_hjb
+    monkeypatch.setattr(ersc.cli, "solve_hjb", lambda *a, **k: hjb_calls.append(1) or real(*a, **k))
     path = write_cfg(tmp_path, extra, base=OU_61)
     rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("ERROR:config:") and err.count("\n") == 1
+    # rep-check reads its keys before its HJB solve
+    if command == "rep-check":
+        assert not hjb_calls
+
+
+def test_f_range_overflow_names_its_key(tmp_path, capsys):
+    # 2 * 1e308 overflows the uniform draw's width
+    path = write_cfg(tmp_path, {"verify": {"n_spaces": 10, "f_range": 1.0e308}}, base=OU_61)
+    assert main(["verify-var", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("ERROR:config: verify.f_range")
 
 
 class _Stop(Exception):

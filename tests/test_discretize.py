@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -59,8 +61,7 @@ def test_pure_diffusion_stencil():
     m = make_1d_model(lambda x: 0.0 * x)
     g = build_grid([1.0], [5])
     h = g.spacings[0]
-    kernel = OperatorKernel(m, g)
-    Q = kernel.assemble(m.drift(kernel.coords, m.controls.points[0])).toarray()
+    Q = OperatorKernel(m, g).assemble_policy(MarkovPolicy.constant(0, g.n_nodes)).toarray()
     i = 2
     assert np.isclose(Q[i, i - 1], 0.5 / h**2)
     assert np.isclose(Q[i, i + 1], 0.5 / h**2)
@@ -72,8 +73,7 @@ def test_upwind_drift_stencil():
     m = make_1d_model(lambda x: np.ones_like(x))
     g = build_grid([1.0], [5])
     h = g.spacings[0]
-    kernel = OperatorKernel(m, g, "upwind")
-    Q = kernel.assemble(m.drift(kernel.coords, m.controls.points[0])).toarray()
+    Q = OperatorKernel(m, g, "upwind").assemble_policy(MarkovPolicy.constant(0, g.n_nodes)).toarray()
     i = 2
     assert np.isclose(Q[i, i + 1], 0.5 / h**2 + 1.0 / h)
     assert np.isclose(Q[i, i - 1], 0.5 / h**2)
@@ -84,8 +84,7 @@ def test_hybrid_uses_central_when_admissible():
     m = make_1d_model(lambda x: np.ones_like(x))
     g = build_grid([1.0], [5])
     h = g.spacings[0]
-    kernel = OperatorKernel(m, g, "hybrid")
-    Q = kernel.assemble(m.drift(kernel.coords, m.controls.points[0])).toarray()
+    Q = OperatorKernel(m, g, "hybrid").assemble_policy(MarkovPolicy.constant(0, g.n_nodes)).toarray()
     i = 2
     assert np.isclose(Q[i, i + 1], 0.5 / h**2 + 0.5 / h)
     assert np.isclose(Q[i, i - 1], 0.5 / h**2 - 0.5 / h)
@@ -95,8 +94,7 @@ def test_hybrid_falls_back_to_upwind():
     # |b| h > sigma^2 forces the one-sided branch; off-diagonals stay >= 0
     m = make_1d_model(lambda x: 10.0 * np.ones_like(x), sigma=0.5)
     g = build_grid([1.0], [5])
-    kernel = OperatorKernel(m, g, "hybrid")
-    gm = kernel.assemble(m.drift(kernel.coords, m.controls.points[0]))
+    gm = OperatorKernel(m, g, "hybrid").assemble_policy(MarkovPolicy.constant(0, g.n_nodes))
     assert (gm - sp.diags(gm.diagonal())).min() >= 0.0
     assert np.max(np.abs(gm.sum(axis=1))) <= 1e-12
 
@@ -119,7 +117,8 @@ def test_hybrid_tie_keeps_w_network_irreducible(w_network):
     kernel = OperatorKernel(w_network, grid)
     b_all = w_network.drift_table(kernel.coords)
     assert np.any(np.abs(b_all) == 2.0 * kernel.h * kernel.q_ax)
-    assert all(is_irreducible(kernel.assemble(b)) for b in b_all)
+    policies = [MarkovPolicy.constant(i, grid.n_nodes) for i in range(len(b_all))]
+    assert all(is_irreducible(kernel.assemble_policy(p)) for p in policies)
 
 
 def test_generator_invariants_random_models():
@@ -129,9 +128,8 @@ def test_generator_invariants_random_models():
         sig = rng.uniform(0.5, 2.0)
         m = builtin_ou_lq(a=a, sigma=sig, q=rng.uniform(0, 2), c=0.1, u_max=1.0, n_controls=3)
         g = build_grid([rng.uniform(2, 6)], [int(rng.integers(11, 81))])
-        u = m.controls.points[rng.integers(3)]
-        kernel = OperatorKernel(m, g)
-        gm = kernel.assemble(m.drift(kernel.coords, u))
+        pol = MarkovPolicy.constant(int(rng.integers(3)), g.n_nodes)
+        gm = OperatorKernel(m, g).assemble_policy(pol)
         assert np.max(np.abs(gm.sum(axis=1))) <= 1e-12
         assert (gm - sp.diags(gm.diagonal())).min() >= 0.0
         assert is_irreducible(gm)
@@ -141,7 +139,7 @@ def test_policy_generator_matches_constant_control():
     m = builtin_ou_lq(a=-1.0, sigma=1.0, q=1.0, c=1.0, u_max=2.0, n_controls=3)
     g = build_grid([2.0], [21])
     kernel = OperatorKernel(m, g)
-    Q_u = kernel.assemble(m.drift(kernel.coords, m.controls.points[2]))
+    Q_u = kernel.assemble(*_where_rates(kernel, m.drift(kernel.coords, m.controls.points[2])))
     pol = MarkovPolicy.constant(2, g.n_nodes)
     Q_p = kernel.assemble_policy(pol)
     assert np.allclose((Q_u - Q_p).toarray(), 0.0)
@@ -194,7 +192,7 @@ def _interior_consistency_error(model, grid, f, lf, scheme):
     kernel = OperatorKernel(model, grid, scheme)
     coords = kernel.coords
     V = f(coords)
-    applied = kernel.apply(model.drift_table(coords)[0], V)
+    applied = kernel.control_rows(V)[0]
     exact = lf(coords)
     I = kernel.I
     interior = np.all((I >= 1) & (I <= np.asarray(grid.counts) - 2), axis=1)
@@ -267,8 +265,7 @@ def test_cross_terms_consistent_and_monotone():
     hs, errs = [], []
     for count in (11, 21, 41):
         g = build_grid([1.0, 1.0], [count, count])
-        kernel = OperatorKernel(m, g)
-        gm = kernel.assemble(m.drift(kernel.coords, m.controls.points[0]))
+        gm = OperatorKernel(m, g).assemble_policy(MarkovPolicy.constant(0, g.n_nodes))
         assert (gm - sp.diags(gm.diagonal())).min() >= 0.0
         assert np.max(np.abs(gm.sum(axis=1))) <= 1e-12
         hs.append(g.spacings[0])
@@ -295,29 +292,25 @@ def test_apply_matches_assembled_matrix():
     for m, g in ((lq, g1), (corr, g2)):
         for scheme in ("hybrid", "upwind"):
             kernel = OperatorKernel(m, g, scheme)
-            V = rng.uniform(0.5, 2.0, size=g.n_nodes)
-            # the model's per-control fields plus random ones, so both drift
-            # signs and both hybrid branches occur
-            b_all = np.concatenate(
-                [m.drift_table(kernel.coords), rng.normal(scale=8.0, size=(3, g.n_nodes, g.dim))]
-            )
-            stacked = kernel.apply(b_all, V)
-            assert stacked.shape == (b_all.shape[0], g.n_nodes)
-            for b, row in zip(b_all, stacked):
-                lhs = kernel.apply(b, V)
-                assert np.array_equal(row, lhs)
-                rhs = kernel.assemble(b) @ V
-                assert np.allclose(lhs, rhs, atol=1e-10)
-            # the kernel's own table, with and without an added drift field
-            table = kernel.drift_table
-            assert np.array_equal(kernel.control_rows(V), kernel.apply(table, V))
-            aux = rng.normal(scale=2.0, size=(g.n_nodes, g.dim))
-            assert np.array_equal(kernel.control_rows(V, aux), kernel.apply(table + aux, V))
+            n, k = g.n_nodes, m.controls.n_controls
+            V = rng.uniform(0.5, 2.0, size=n)
+            # the model's own rates, then random auxiliary drifts, so both
+            # drift signs and both hybrid branches occur
+            for aux in (None, *rng.normal(scale=8.0, size=(3, n, g.dim))):
+                minus, plus = kernel.rates(aux)
+                stacked = kernel.apply(minus, plus, V)
+                assert stacked.shape == (k, n)
+                assert np.array_equal(kernel.control_rows(V, aux), stacked)
+                for i, row in enumerate(stacked):
+                    lhs = kernel.apply(minus[i], plus[i], V)
+                    assert np.array_equal(row, lhs)
+                    rhs = kernel.assemble_policy(MarkovPolicy.constant(i, n), aux) @ V
+                    assert np.allclose(lhs, rhs, atol=1e-10)
 
 
 def _where_rates(kernel, b):
     """Drift rates by the two-branch formulas, the reference for the
-    one-division ``drift_rates``."""
+    one-division differencing behind ``OperatorKernel.rates``."""
     h = kernel.h
     if kernel.scheme == "upwind":
         central = np.zeros_like(b, dtype=bool)
@@ -328,21 +321,30 @@ def _where_rates(kernel, b):
     return minus, plus
 
 
+def _table_model(m, table):
+    """``m`` with one control per field of the (k, n, d) ``table``, whose
+    drift on the grid nodes is that field."""
+    points = np.arange(len(table), dtype=float)[:, None]
+    return dataclasses.replace(m, drift=lambda x, u: table[int(u[0])], controls=ControlSet(points))
+
+
 def test_drift_rates_bit_identical_to_where_formulas(ou_uncontrolled):
     # the 13-node, h = 0.5 grid puts |b| exactly at 2 h q_ax at x = +-2
     corr = make_2d_correlated(np.linalg.cholesky(np.array([[1.0, 0.3], [0.3, 0.8]])))
     rng = np.random.default_rng(5)
     for m, g in ((ou_uncontrolled, build_grid([3.0], [13])), (corr, build_grid([1.0, 1.0], [9, 11]))):
         for scheme in ("hybrid", "upwind"):
-            kernel = OperatorKernel(m, g, scheme)
-            cap = 2.0 * kernel.h * kernel.q_ax
+            ref = OperatorKernel(m, g, scheme)
+            cap = 2.0 * ref.h * ref.q_ax
             zeros = np.zeros((g.n_nodes, g.dim))
             b_all = np.stack(
-                [m.drift_table(kernel.coords)[0], zeros, -zeros, cap, -cap,
+                [m.drift_table(ref.coords)[0], zeros, -zeros, cap, -cap,
                  rng.normal(scale=3.0, size=(g.n_nodes, g.dim))]
             )
-            for b in (b_all, *b_all):
-                got, want = kernel.drift_rates(b), _where_rates(kernel, b)
+            kernel = OperatorKernel(_table_model(m, b_all), g, scheme)
+            aux = rng.normal(scale=3.0, size=(g.n_nodes, g.dim))
+            for got, b in ((kernel.rates(), b_all), (kernel.rates(aux), b_all + aux)):
+                want = _where_rates(kernel, b)
                 assert all(np.array_equal(x, y) for x, y in zip(got, want))
                 assert got[0].shape == b.shape
 
@@ -356,18 +358,30 @@ def test_kernel_owned_rates_match_drift_table():
         precise = MarkovPolicy(rng.integers(k, size=n))
         relaxed = MarkovPolicy(rng.dirichlet(np.ones(k), size=n))
         V = rng.uniform(0.5, 2.0, size=n)
+        zero = np.zeros((n, g.dim))
         for scheme in ("hybrid", "upwind"):
             own = OperatorKernel(m, g, scheme)
-            # a second kernel that differences the table itself on every call
+            # a second kernel that differences the drift table plus a zero
+            # auxiliary drift on every call
             ref = OperatorKernel(m, g, scheme)
-            table = m.drift_table(ref.coords)
-            assert np.array_equal(own.control_rows(V), ref.apply(table, V))
+            assert np.array_equal(own.control_rows(V), ref.control_rows(V, zero))
+            # picking the differenced table equals differencing the picked drift
             Q = own.assemble_policy(precise)
-            assert np.array_equal(Q.toarray(), ref.assemble(precise.pick(table)).toarray())
-            # a relaxed policy mixes the rates of the table, as it does with
-            # an auxiliary drift of zero
+            want = ref.assemble(*_where_rates(ref, precise.pick(ref.drift_table)))
+            assert np.array_equal(Q.toarray(), want.toarray())
             Q = own.assemble_policy(relaxed)
-            want = ref.assemble_policy(relaxed, aux_drift=np.zeros((n, g.dim)))
+            want = ref.assemble_policy(relaxed, aux_drift=zero)
             assert np.array_equal(Q.toarray(), want.toarray())
             # the rates replace the table, they are not kept beside it
             assert "drift_table" not in own.__dict__
+
+
+def test_last_auxiliary_rates_are_kept(ou_uncontrolled):
+    kernel = OperatorKernel(ou_uncontrolled, build_grid([3.0], [13]))
+    aux = np.full((13, 1), 0.5)
+    first = kernel.rates(aux)
+    assert kernel.rates(aux.copy()) is first
+    # the kept drift is a copy, so a field changed in place is differenced anew
+    aux[:] = -0.5
+    assert np.array_equal(kernel.rates(aux)[1], _where_rates(kernel, kernel.drift_table + aux)[1])
+    assert not np.array_equal(kernel.rates(aux)[1], first[1])

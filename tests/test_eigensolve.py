@@ -99,8 +99,7 @@ def test_policy_value_kappa_scaling(ou_uncontrolled, grid_241):
     kappa = 0.5
     scaled = policy_value(ou_uncontrolled, grid_241, pol, cost_scale=kappa, tol=1e-11)
     # same as the eigenpair of Q + kappa diag(r) by definition
-    kernel = OperatorKernel(ou_uncontrolled, grid_241)
-    Q = kernel.assemble(ou_uncontrolled.drift(kernel.coords, ou_uncontrolled.controls.points[0]))
+    Q = OperatorKernel(ou_uncontrolled, grid_241).assemble_policy(pol)
     r = kappa * ou_uncontrolled.cost(grid_241.coords(), ou_uncontrolled.controls.points[0])
     direct = principal_eigenpair(Q, r, tol=1e-11, origin_node=grid_241.origin_node)
     assert abs(scaled.value - direct.value) <= 1e-10
@@ -153,7 +152,7 @@ def test_foster_certificate_core_covering_grid_raises(ou_uncontrolled, grid_241,
 
 def _ou_chain(model, grid):
     kernel = OperatorKernel(model, grid)
-    Q = kernel.assemble(model.drift_table(kernel.coords)[0])
+    Q = kernel.assemble_policy(MarkovPolicy.constant(0, grid.n_nodes))
     return Q, model.cost_table(kernel.coords)[0]
 
 
@@ -203,7 +202,7 @@ def test_small_kappa_lq_bracket_is_edge_difference_ratio(lq_model):
     # the bracket is min/max of the row ratios of OperatorKernel.apply
     kernel = OperatorKernel(lq_model, grid)
     V, pol = sol.V, sol.policy
-    rows = kernel.apply(pol.pick(lq_model.drift_table(kernel.coords)), V)
+    rows = kernel.apply(*map(pol.pick, kernel.rates()), V)
     ratios = (rows + pol.pick(sol.cost_table) * V) / V
     assert abs(sol.eigenpair.cw_lower - ratios.min()) <= 1e-15
     assert abs(sol.eigenpair.cw_upper - ratios.max()) <= 1e-15

@@ -50,6 +50,25 @@ def test_nan_drift_bound_raises_before_any_poisson_solve(monkeypatch):
         solve_ergodic_game(m, build_grid([6.0], [61]), 0.0, np.nan, 20.0)
 
 
+def test_bad_payoff_cap_raises_before_any_poisson_solve(monkeypatch):
+    # a NaN or negative L* is a bad input, not a solver failure; L* = inf (no
+    # cap, as in the average-cost solve) still runs
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a Poisson solve ran")
+
+    monkeypatch.setattr(game, "solve_poisson", no_solve)
+    m = builtin_ou_lq(a=-1.0, sigma=1.0, q=0.75, c=0.0, u_max=0.0, n_controls=1)
+    grid = build_grid([6.0], [61])
+    pol = MarkovPolicy.constant(0, grid.n_nodes)
+    for L_star in (np.nan, -1.0):
+        with pytest.raises(ValueError, match="L_star must be nonnegative"):
+            solve_ergodic_game(m, grid, 0.0, 4.0, L_star)
+        with pytest.raises(ValueError, match="L_star must be nonnegative"):
+            sup_w_fixed_policy(m, grid, pol, 0.0, 4.0, L_star=L_star)
+    monkeypatch.undo()
+    assert np.isfinite(average_cost_solve(m, grid).value)
+
+
 def test_inner_max_beats_sampling():
     rng = np.random.default_rng(4)
     for _ in range(30):

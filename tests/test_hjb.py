@@ -25,8 +25,8 @@ def brute_force_value(model, grid, tol=0.0):
     kernel = OperatorKernel(model, grid, "hybrid")
     n, k = kernel.n, model.controls.n_controls
     mats = []
-    for u, b in zip(model.controls.points, model.drift_table(kernel.coords)):
-        Q = kernel.assemble(b).toarray()
+    for i, u in enumerate(model.controls.points):
+        Q = kernel.assemble_policy(MarkovPolicy.constant(i, n)).toarray()
         r = np.asarray(model.cost(kernel.coords, u), dtype=float)
         mats.append((Q, r))
     best = np.inf
