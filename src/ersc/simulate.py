@@ -20,11 +20,37 @@ Randomness comes from a counter-based generator: the normals of step k are
 the Philox stream keyed by the seed from counter k << 128, and path j reads
 row j of the step's block, so runs are bit-reproducible for a fixed seed.
 A block does not depend on the path state, so it can be drawn ahead: each
-run resets one Philox per step instead of building one, and a run that
-freezes no paths and draws at least ``_PREFETCH_MIN_NORMALS`` normals per
-step draws them on a producer thread, off the stepper's critical path.  The
-blocks are the same either way.  The stepper does only the work its
-outputs depend on:
+run resets one Philox per step instead of building one, and a run whose
+blocks hold at least ``_PRODUCER_MIN_NORMALS`` normals forks one producer
+process that draws them into a small shared ring, off the stepper's critical
+path.  Without ``os.fork``, or when the fork fails, the run draws them
+inline.  The blocks are the same either way.  Inline against producer on
+the OU model (d = 1), shared 2-vCPU host, median [quartiles] of five
+alternated runs:
+
+  free-running, 2000 steps, microseconds per step (fork and reap included)
+
+    paths   inline                producer              producer won
+       64    18.9 [18.6-20.8]      20.7 [20.4-21.4]     1 of 5
+      256    24.1 [23.9-25.0]      23.5 [23.0-29.5]     3 of 5
+      512    39.2 [30.5-42.1]      35.2 [29.7-36.9]     4 of 5
+     1024    55.6 [44.6-62.3]      44.1 [36.9-44.8]     4 of 5
+     2048    63.8 [62.8-65.2]      49.3 [46.6-51.8]     5 of 5
+     4096   111.3 [106.7-119.2]    86.7 [78.7-94.5]     5 of 5
+    10000   243.6 [238.9-262.7]   192.8 [185.6-240.4]   4 of 5
+
+  frozen: the twisted hitting-time check (R = 1, horizon 12, dt 1e-3,
+  starts 2 and -2), seconds per call
+
+    paths   inline             producer           producer won
+      256   0.49 [0.44-0.55]   0.46 [0.45-0.49]   2 of 5
+      512   0.68 [0.65-0.71]   0.66 [0.63-0.68]   3 of 5
+     1024   0.88 [0.87-0.98]   0.78 [0.72-0.80]   5 of 5
+     2048   1.22 [1.14-1.30]   0.88 [0.86-0.95]   5 of 5
+     4096   2.39 [1.89-2.47]   1.61 [1.45-1.82]   5 of 5
+
+Forking and reaping the producer took 1.6 ms in a 93 MB process on that
+host.  The stepper does only the work its outputs depend on:
 
   * compaction: while every path moves, each step works on whole arrays;
     once a path has stopped (frozen at its hit, or dead), the policy, the
@@ -34,8 +60,9 @@ outputs depend on:
   * batched starts: the hitting-time check runs all its starting points in
     one stepper call, path j of every start drawing row j of the block, the
     same common random numbers that one call per point would draw;
-  * grid fields are interpolated by index arithmetic on the uniform grid,
-    and a one-control MarkovPolicy is its control point, so it needs no
+  * grid fields are interpolated by index arithmetic on the uniform grid
+    (in 1D from one per-cell table), clipped only when a state leaves the
+    box, and a one-control MarkovPolicy is its control point, so it needs no
     nearest-node lookup.
 
 Clipped-lookup counts therefore cover only the lookups made: moving rows, and
@@ -47,7 +74,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import numbers
-import threading
+import os
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -156,32 +183,14 @@ def _step_normals(seed: int, step: int, n: int, d: int, antithetic: bool) -> np.
     return gen.standard_normal((n, d))
 
 
-# A producer thread draws the blocks ahead of the stepper only when a block
-# holds at least this many normals and no path freezes.  Below it the
-# stepper's small-array numpy calls hold the GIL and starve the producer.
-# Microseconds per step on the OU model (d = 1), shared 2-vCPU host:
-#
-#   paths   Philox per step   reset, inline   reset + producer
-#      64              51.8            35.7               56.8
-#     512              43.2            33.3               75.9
-#    2048              82.3            78.1               79.0
-#    4096             138.0           133.3              114.8
-#   10000             323.6           245.3              208.2
-#
-# Frozen paths shrink the moving rows, and the producer starves again: the
-# twisted hitting-time check on the OU model (R = 1, horizon 12, dt 1e-3,
-# starts 2 and -2), seconds per call, median [IQR], same host:
-#
-#   paths   inline                producer              producer won
-#    4096   2.19 [2.12-2.49]      2.51 [2.47-2.74]       1 of 16 pairs
-#   10000   3.47 [3.36-3.66]      3.12 [3.04-3.31]       9 of 12 pairs
-#
-# A run with a stop radius stays inline: near the gate it loses more than it
-# gains at 10,000 paths, and the bench's check runs 2,000.
-_PREFETCH_MIN_NORMALS = 4096
-# blocks per hand-off: one chunk waits in the slot while the next is drawn,
-# so at most four blocks are drawn ahead of the chunk in use
-_PREFETCH_CHUNK = 2
+# One producer process draws the blocks ahead of the stepper when a block
+# holds at least this many normals: from there it won at least 4 of 5 runs,
+# free-running and frozen (the table in the module docstring).
+_PRODUCER_MIN_NORMALS = 1024
+# blocks in the shared ring: the producer runs at most this many steps ahead
+# (640 KB at 10,000 paths; 2 slots lost about 15% of a twisted run, 32 gained
+# nothing over 8)
+_RING_SLOTS = 8
 
 
 def _block_drawer(seed: int, n: int, d: int, antithetic: bool) -> Callable:
@@ -208,60 +217,137 @@ def _block_drawer(seed: int, n: int, d: int, antithetic: bool) -> Callable:
     return draw
 
 
-def _normal_blocks(cfg: SimulationConfig, d: int, prefetch: bool):
+def _normal_blocks(cfg: SimulationConfig, d: int):
     """Yield the normal block of every step of ``cfg``, in step order.
 
-    Inline, one (n, d) buffer is refilled per step, so a block is valid until
-    the next one is drawn.  With ``prefetch`` a daemon thread draws chunks of
-    ``_PREFETCH_CHUNK`` consecutive blocks and hands them over through one
-    slot; an error there is raised here.  Closing the generator stops and
-    joins the thread, and the caller closes it on every exit.
+    A block is valid until the next one is requested.  When a block holds at
+    least ``_PRODUCER_MIN_NORMALS`` normals a forked producer process draws
+    them ahead (``_fork_producer``); else, or where that process cannot be
+    started, one (n, d) buffer is refilled inline.  The blocks are the same
+    either way.  Closing the generator kills and reaps the producer, and the
+    caller closes it on every exit.
     """
     n, steps = cfg.n_paths, cfg.n_steps
     draw = _block_drawer(cfg.seed, n, d, cfg.antithetic)
-    if not prefetch:
+    producer = _fork_producer(draw, steps, n, d) if n * d >= _PRODUCER_MIN_NORMALS else None
+    if producer is None:
         buf = np.empty((n, d))
         for k in range(steps):
             yield draw(k, buf)
         return
 
-    slot = []  # the chunk, or the producer's error, being handed over
-    free, full = threading.Semaphore(1), threading.Semaphore(0)
-    stop = threading.Event()
+    import signal
 
-    def hand_over(item) -> bool:
-        free.acquire()  # the stepper took the last chunk, or is closing
-        if stop.is_set():
-            return False
-        slot.append(item)
-        full.release()
-        return True
-
-    def produce():
-        try:
-            for k0 in range(0, steps, _PREFETCH_CHUNK):
-                chunk = np.empty((min(_PREFETCH_CHUNK, steps - k0), n, d))
-                for j, block in enumerate(chunk):
-                    draw(k0 + j, block)
-                if not hand_over(chunk):
-                    return
-        except Exception as exc:  # raised again in the stepper
-            hand_over(exc)
-
-    producer = threading.Thread(target=produce, name="ersc-normals", daemon=True)
-    producer.start()
+    pid, ring, filled, freed = producer
+    slots = len(ring)
     try:
-        for _ in range(0, steps, _PREFETCH_CHUNK):
-            full.acquire()
-            chunk = slot.pop()
-            free.release()
-            if isinstance(chunk, Exception):
-                raise chunk
-            yield from chunk
+        for k in range(steps):
+            flag = os.read(filled, 1)
+            if flag != b"+":
+                raise _producer_error(flag, filled)
+            yield ring[k % slots]
+            if k + slots < steps:
+                try:
+                    os.write(freed, b"-")  # slot k % slots may take block k + slots
+                except BrokenPipeError:
+                    pass  # the producer is gone: the next read says why
     finally:
-        stop.set()
-        free.release()  # a producer waiting to hand over sees the stop
-        producer.join()
+        os.close(freed)
+        os.close(filled)
+        os.kill(pid, signal.SIGKILL)  # one that already exited is a zombie until reaped
+        os.waitpid(pid, 0)
+
+
+def _fork_producer(draw: Callable, steps: int, n: int, d: int):
+    """Fork the process that fills a ring of normal blocks, or None.
+
+    The ring is ``_RING_SLOTS`` (n, d) blocks of anonymous shared memory;
+    block k goes to slot k % slots.  Two pipes synchronise it: the producer
+    writes b"+" to ``filled`` per block drawn, and the caller writes one byte
+    to ``freed`` per slot it releases.  The producer keeps only its two pipe
+    ends, so EOF on either pipe ends the other side.  An exception in the
+    producer is sent as b"!" and its pickle.  Returns (pid, ring, filled,
+    freed), or None where ``os.fork`` is missing or it, the ring or a pipe
+    fails.
+    """
+    fork = getattr(os, "fork", None)
+    if fork is None:
+        return None
+    import mmap
+
+    slots = min(_RING_SLOTS, steps)
+    fds = []
+    try:
+        ring = np.frombuffer(mmap.mmap(-1, slots * n * d * 8), dtype=float)
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    ring = ring.reshape(slots, n, d)
+    filled_r, filled_w, freed_r, freed_w = fds
+    if pid == 0:  # the producer: it never returns from here
+        _produce(draw, ring, steps, filled_w, freed_r)
+    os.close(filled_w)
+    os.close(freed_r)
+    return pid, ring, filled_r, freed_w
+
+
+def _produce(draw: Callable, ring: np.ndarray, steps: int, filled: int, freed: int):
+    """The producer process's body: draw every block into the ring, then exit."""
+    import gc
+
+    gc.disable()  # run no finalizer of the parent's objects here
+    code = 1
+    try:
+        lo, hi = sorted((filled, freed))
+        os.closerange(3, lo)
+        os.closerange(lo + 1, hi)
+        os.closerange(hi + 1, os.sysconf("SC_OPEN_MAX"))
+        slots = len(ring)
+        for k in range(steps):
+            if k >= slots and not os.read(freed, 1):
+                break  # the caller is done
+            draw(k, ring[k % slots])
+            os.write(filled, b"+")
+        code = 0
+    except BaseException as exc:
+        import pickle
+
+        try:
+            payload = pickle.dumps(exc)
+        except Exception:
+            payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        try:
+            with os.fdopen(filled, "wb") as fh:
+                fh.write(b"!" + payload)
+        except BaseException:
+            pass  # the caller is gone
+    finally:
+        os._exit(code)
+
+
+def _producer_error(flag: bytes, filled: int) -> BaseException:
+    """The exception to raise for a ``filled`` pipe that held ``flag``, not b"+"."""
+    if flag == b"!":
+        import pickle
+
+        chunks = []
+        while chunk := os.read(filled, 1 << 16):
+            chunks.append(chunk)
+        return pickle.loads(b"".join(chunks))
+    return RuntimeError("the normal-block producer process exited early")
+
+
+def _in_box(x: np.ndarray, r: np.ndarray) -> bool:
+    """Whether every row of ``x`` (..., d) lies in the box [-r, r]; False on NaN."""
+    if not x.size:
+        return True
+    if r.size == 1:  # one reduction to a scalar: the cheapest test
+        return bool(np.abs(x).max() <= r[0])
+    return bool((np.abs(x.reshape(-1, r.size)).max(axis=0) <= r).all())
 
 
 class _ClipCount:
@@ -271,9 +357,12 @@ class _ClipCount:
         self.n = 0
 
     def field(self, grid: Grid, lookup: Callable) -> Callable:
+        r = grid.radii
+
         def call(x):
             x = np.asarray(x, dtype=float)
-            self.n += int(np.any(np.abs(x) > grid.radii, axis=-1).sum())
+            if not _in_box(x, r):
+                self.n += int(np.any(np.abs(x) > r, axis=-1).sum())
             return lookup(x)
 
         return call
@@ -333,7 +422,12 @@ def grid_interpolator(grid: Grid, values: np.ndarray) -> Callable:
     summed in ``itertools.product`` order, and each corner weight is the
     product of the per-axis weights in axis order.  On a 2D grid with scalar
     values scipy's compiled path multiplies the value by the weights one at a
-    time, and so does this.
+    time, and so does this.  A state with a NaN coordinate reads NaN, as in
+    scipy.
+
+    States are clipped only when one leaves the box.  In 1D one gather from a
+    per-cell table (a[k], a[k+1] - a[k], values at k and k+1) reads all a
+    cell needs; its extra last row repeats the last cell for x = a[-1].
     """
     values = np.asarray(values, dtype=float)
     trailing = values.shape[1:]
@@ -345,6 +439,58 @@ def grid_interpolator(grid: Grid, values: np.ndarray) -> Callable:
     axes, h = grid.axes, grid.spacings
     widths = [np.diff(a) for a in axes]  # a[k+1] - a[k], as scipy forms it
     top = [int(c) - 2 for c in grid.counts]  # last cell index
+
+    def fix(k, xi, i):
+        """Move each cell index k that is one off next to a node into its cell."""
+        a = axes[i]
+        k -= xi < a[k]
+        k += (xi >= a[k + 1]) & (k < top[i])
+
+    def clipped(x):
+        """Points (m, d) in the box and the rows that held a NaN (or None)."""
+        pts = np.asarray(x, dtype=float).reshape(-1, d)
+        if _in_box(pts, hi):
+            return pts, None
+        nan = np.isnan(pts).any(axis=1)
+        pts = np.clip(pts, lo, hi)
+        if not nan.any():
+            return pts, None
+        pts[nan] = lo  # any cell will do: the row is overwritten with NaN
+        return pts, nan
+
+    def shaped(out, pts, nan):
+        if nan is not None:
+            out[nan] = np.nan
+        return out.reshape(pts.shape[:1] + trailing)
+
+    if d == 1:
+        a = axes[0]
+        cells = np.column_stack([a[:-1], widths[0], table[:-1], table[1:]])
+        cells = np.concatenate([cells, cells[-1:]])  # k = top + 1 reads the last cell
+        m = table[0].size  # values per node
+        v0, v1 = (2, 3) if table.ndim == 1 else (slice(2, 2 + m), slice(2 + m, None))
+
+        def call_1d(x):
+            pts, nan = clipped(x)
+            xi = pts[:, 0]
+            k = ((xi - a[0]) / h[0]).astype(np.int64)  # floor, as xi >= a[0]
+            c = cells.take(k, axis=0)
+            y = (xi - c[:, 0]) / c[:, 1]
+            if y.size and (y.min() < 0.0 or y.max() >= 1.0):  # k one off next to a node
+                np.minimum(k, top[0], out=k)
+                fix(k, xi, 0)
+                c = cells.take(k, axis=0)
+                y = (xi - c[:, 0]) / c[:, 1]
+            y0 = 1 - y
+            if table.ndim > 1:
+                y, y0 = y[:, None], y0[:, None]
+            out = c[:, v0] * y0
+            out += 0.0  # scipy sums from 0.0: a -0.0 first term reads +0.0
+            out += c[:, v1] * y
+            return shaped(out, pts, nan)
+
+        return call_1d
+
     strides = [int(s) for s in grid.strides()]
     corners = [(c, int(np.dot(c, strides))) for c in itertools.product((0, 1), repeat=d)]
     chained = d == 2 and not trailing
@@ -356,13 +502,12 @@ def grid_interpolator(grid: Grid, values: np.ndarray) -> Callable:
         np.minimum(k, top[i], out=k)
         y = (xi - a[k]) / widths[i][k]
         if y.size and (y.min() < 0.0 or y.max() >= 1.0):  # k one off next to a node
-            k -= xi < a[k]
-            k += (xi >= a[k + 1]) & (k < top[i])
+            fix(k, xi, i)
             y = (xi - a[k]) / widths[i][k]
         return k, y
 
     def call(x):
-        pts = np.clip(np.asarray(x, dtype=float), lo, hi).reshape(-1, d)
+        pts, nan = clipped(x)
         base, weights = 0, []
         for i in range(d):
             k, y = cell(pts[:, i], i)
@@ -383,7 +528,7 @@ def grid_interpolator(grid: Grid, values: np.ndarray) -> Callable:
                 out += 0.0  # scipy sums from 0.0: a -0.0 first term reads +0.0
             else:
                 out += term
-        return out.reshape(pts.shape[:1] + trailing)
+        return shaped(out, pts, nan)
 
     return call
 
@@ -411,10 +556,10 @@ def _euler_maruyama(
     ends once no path moves.  ``mem_grid`` records the occupation masses
     every ``cfg.mem_stride`` steps.
 
-    The normal blocks come from ``_normal_blocks``: drawn ahead on a
-    producer thread when no path freezes (no ``stop_radius``) and a block
-    holds at least ``_PREFETCH_MIN_NORMALS`` normals, else inline.  The
-    thread is joined before this returns or raises.
+    The normal blocks come from ``_normal_blocks``: drawn ahead by a forked
+    producer process when a block holds at least ``_PRODUCER_MIN_NORMALS``
+    normals, else inline.  The process is killed and reaped before this
+    returns or raises.
     """
     n, d, dt = cfg.n_paths, model.dim, cfg.dt
     sq = np.sqrt(dt)
@@ -435,8 +580,7 @@ def _euler_maruyama(
     def row_ids(mask):
         return np.flatnonzero(mask) if isinstance(rows, slice) else rows[mask]
 
-    prefetch = stop_radius is None and n * d >= _PREFETCH_MIN_NORMALS
-    blocks = _normal_blocks(cfg, d, prefetch)
+    blocks = _normal_blocks(cfg, d)
     try:
         for k, xi in enumerate(blocks):
             if not isinstance(rows, slice):
@@ -463,8 +607,10 @@ def _euler_maruyama(
                 X[gone] = X0[gone]  # park dead paths on a finite value
                 stopped = True
             if hit is not None:
-                # a non-finite row has a NaN or infinite norm, so it never arrives
-                newly = np.isnan(hit[rows]) & (np.linalg.norm(Xr, axis=1) <= stop_radius)
+                # every row in ``rows`` is yet to arrive; a non-finite row has a
+                # NaN or infinite norm, so it never does.  The norm is the one
+                # np.linalg.norm forms, without its wrapper's overhead
+                newly = np.sqrt((Xr * Xr).sum(axis=1)) <= stop_radius
                 if newly.any():
                     arrived = row_ids(newly)
                     hit[arrived] = (k + 1) * dt
@@ -670,7 +816,8 @@ def check_stochastic_representation(
     chain under any (V, Lambda), so wrong inputs are still detected, while
     the weight variance collapses when the inputs are near the eigenpair.
 
-    Raises ValueError unless R is finite and positive.
+    Raises ValueError unless R is finite and positive and every test point
+    is finite.
     """
     # NaN fails the comparison, so this rejects it too
     if not 0 < R < np.inf:
@@ -680,6 +827,9 @@ def check_stochastic_representation(
     u_of = _resolve_policy(model, policy, grid, clip)
     w_of = None if twist_log_psi is None else _twist(grid, twist_log_psi, clip)
     points = [np.asarray(pt, dtype=float).reshape(model.dim) for pt in test_points]
+    bad = [pt.tolist() for pt in points if not np.isfinite(pt).all()]
+    if bad:
+        raise ValueError(f"test points must be finite, got {bad}")
     outside = [x0 for x0 in points if np.linalg.norm(x0) > R]
     if outside:
         paths = _euler_maruyama(model, u_of, cfg, np.stack(outside), w_of, stop_radius=R)

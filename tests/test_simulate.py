@@ -21,7 +21,7 @@ import ersc.simulate as simulate_module
 from ersc.hjb import MarkovPolicy, value_gradient_field
 from ersc.model import ControlSet, DiffusionModel, builtin_ou_lq, sigma_times
 from ersc.simulate import (
-    _PREFETCH_MIN_NORMALS,
+    _PRODUCER_MIN_NORMALS,
     SimulationConfig,
     _euler_maruyama,
     _logsumexp,
@@ -33,6 +33,17 @@ from ersc.simulate import (
     mem_tightness_report,
     simulate,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test after which a child process survives, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no child at all
+    pytest.fail(f"a child process survived the test (waitpid returned pid {pid})")
 
 
 def brownian_model(dim=1, sigma=1.0):
@@ -561,6 +572,17 @@ def test_grid_interpolator_equals_scipy_bit_for_bit(radii, counts, trailing):
         assert interp(x).shape == (x.shape[0],) + trailing
     assert same_bits(interp(outside), oracle(np.clip(outside, -g.radii, g.radii)))
     assert np.array_equal(interp(nodes), values)
+    # a NaN coordinate reads NaN, inside the box or out of it, without a warning
+    nan = np.concatenate([inside[:40], outside[:40]])
+    nan[::3, 0] = np.nan
+    nan[1::4, -1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = interp(nan)
+    with np.errstate(invalid="ignore"):
+        want = oracle(np.clip(nan, -g.radii, g.radii))
+    assert np.isnan(want).any() and not np.isnan(want).all()
+    assert same_bits(got, want)
 
 
 def test_rep_check_batched_points_match_single_point_calls(ou_uncontrolled, grid_241):
@@ -658,6 +680,19 @@ def test_representation_radius_must_be_finite_and_positive(ou_uncontrolled, grid
             check_stochastic_representation(ou_uncontrolled, None, V, 0.0, R, [[2.0]], cfg, grid_241)
 
 
+@pytest.mark.parametrize("points", [[[2.0], [np.nan], [-2.0]], [[np.nan]], [[np.inf], [0.5]]])
+def test_representation_test_points_must_be_finite(ou_uncontrolled, grid_241, points):
+    def cost(x, u):
+        raise AssertionError("simulated before the test points were checked")
+
+    m = dataclasses.replace(ou_uncontrolled, cost=cost)
+    cfg = SimulationConfig(dt=0.01, horizon=0.1, n_paths=8, seed=9, x0=[0.5])
+    V = np.ones(grid_241.n_nodes)
+    bad = [pt for pt in points if not np.isfinite(pt).all()]
+    with pytest.raises(ValueError, match=re.escape(f"test points must be finite, got {bad}")):
+        check_stochastic_representation(m, None, V, 0.0, 1.0, points, cfg, grid_241)
+
+
 def consumed_blocks(monkeypatch, model, cfg, starts, **kwargs):
     """The normal blocks the stepper hands to Sigma, one per step."""
     seen = []
@@ -675,9 +710,11 @@ def consumed_blocks(monkeypatch, model, cfg, starts, **kwargs):
     "n, d, antithetic, n_starts",
     [
         (64, 1, False, 1),  # inline
-        (5000, 1, False, 1),  # prefetched
+        (_PRODUCER_MIN_NORMALS - 1, 1, False, 1),  # inline, just below the gate
+        (_PRODUCER_MIN_NORMALS, 1, False, 1),  # producer process
+        (5000, 1, False, 1),
         (33, 2, False, 1),
-        (2100, 2, False, 1),  # 4200 normals: prefetched
+        (2100, 2, False, 1),  # 4200 normals: producer process
         (65, 1, True, 1),  # antithetic, odd n
         (4097, 1, True, 1),
         (40, 1, False, 3),  # batched starts: N > n
@@ -685,8 +722,9 @@ def consumed_blocks(monkeypatch, model, cfg, starts, **kwargs):
     ],
 )
 def test_stepper_blocks_equal_step_normals(monkeypatch, n, d, antithetic, n_starts):
-    # five steps: the producer hands off two chunks of two blocks and one of one
-    cfg = SimulationConfig(dt=0.1, horizon=0.5, n_paths=n, seed=17, antithetic=antithetic)
+    # twenty steps: the producer's ring of slots is reused more than twice
+    cfg = SimulationConfig(dt=0.1, horizon=2.0, n_paths=n, seed=17, antithetic=antithetic)
+    assert cfg.n_steps > 2 * simulate_module._RING_SLOTS
     starts = np.zeros((n_starts, d))
     seen = consumed_blocks(monkeypatch, brownian_model(dim=d), cfg, starts)
     assert len(seen) == cfg.n_steps
@@ -696,8 +734,10 @@ def test_stepper_blocks_equal_step_normals(monkeypatch, n, d, antithetic, n_star
 
 
 def test_frozen_and_dead_paths_read_their_rows_of_the_block(monkeypatch, ou_uncontrolled):
-    # after compaction each moving path still reads its own row of the block
+    # after compaction each moving path still reads its own row of the block;
+    # 5000 paths: the blocks come from the producer process
     cfg = SimulationConfig(dt=0.1, horizon=3.0, n_paths=5000, seed=6)
+    assert cfg.n_paths >= _PRODUCER_MIN_NORMALS
     starts = np.array([[1.5]])
     paths = _euler_maruyama(ou_uncontrolled, lambda x: np.zeros(1), cfg, starts, stop_radius=1.0)
     seen = consumed_blocks(monkeypatch, ou_uncontrolled, cfg, starts, stop_radius=1.0)
@@ -707,35 +747,49 @@ def test_frozen_and_dead_paths_read_their_rows_of_the_block(monkeypatch, ou_unco
         assert np.array_equal(xi, _step_normals(6, k, cfg.n_paths, 1, False)[rows]), k
 
 
-def threads_during(model, cfg, **kwargs):
-    """Threads alive while ``simulate`` runs (seen from its cost callback) and after it."""
-    during = []
+def count_forks(monkeypatch):
+    """Record every ``os.fork`` the program makes (in the parent) and fork as usual."""
+    forks = []
+    fork = os.fork
 
-    def cost(x, u):
-        during.append(threading.active_count())
-        return model.cost(x, u)
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    simulate(dataclasses.replace(model, cost=cost), None, cfg, **kwargs)
-    return max(during), threading.active_count()
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
 
-def test_producer_thread_only_for_large_free_running_runs(ou_uncontrolled):
-    before = threading.active_count()
-    n = _PREFETCH_MIN_NORMALS
+def test_producer_process_only_for_large_runs(monkeypatch, ou_uncontrolled):
+    forks = count_forks(monkeypatch)
+    n = _PRODUCER_MIN_NORMALS
     small = SimulationConfig(dt=0.1, horizon=1.0, n_paths=n - 1, seed=1)
-    assert threads_during(ou_uncontrolled, small) == (before, before)
+    simulate(ou_uncontrolled, None, small)
+    assert forks == []
     large = dataclasses.replace(small, n_paths=n)
-    assert threads_during(ou_uncontrolled, large) == (before + 1, before)
-    # paths that freeze at a hit are drawn inline whatever their number
-    seen = []
+    simulate(ou_uncontrolled, None, large)
+    assert len(forks) == 1
+    # a 2-D block of n / 2 rows holds n normals
+    simulate(brownian_model(dim=2), None, dataclasses.replace(small, n_paths=n // 2, x0=[0, 0]))
+    assert len(forks) == 2
+    # runs whose paths freeze at a hit use it too, one process per run
+    _euler_maruyama(ou_uncontrolled, lambda x: np.zeros(1), large, np.array([[2.0]]), stop_radius=1.0)
+    assert len(forks) == 3
 
-    def cost(x, u):
-        seen.append(threading.active_count())
-        return ou_uncontrolled.cost(x, u)
 
-    counted = dataclasses.replace(ou_uncontrolled, cost=cost)
-    _euler_maruyama(counted, lambda x: np.zeros(1), large, np.array([[2.0]]), stop_radius=1.0)
-    assert max(seen) == before == threading.active_count()
+def test_failed_or_missing_fork_draws_inline(monkeypatch, ou_uncontrolled):
+    cfg = SimulationConfig(dt=0.01, horizon=0.3, n_paths=_PRODUCER_MIN_NORMALS, seed=12)
+    want = simulate(ou_uncontrolled, None, cfg).digest()
+
+    def fails():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fails)
+    assert simulate(ou_uncontrolled, None, cfg).digest() == want
+    monkeypatch.delattr(os, "fork")
+    assert simulate(ou_uncontrolled, None, cfg).digest() == want
 
 
 def bounded(call, timeout=60.0):
@@ -757,8 +811,7 @@ def bounded(call, timeout=60.0):
 
 def test_producer_is_joined_on_early_break():
     # every path turns non-finite at the first step, and the loop breaks at
-    # once; the slow step lets the producer fill the slot and wait first
-    before = threading.active_count()
+    # once; the slow step lets the producer fill its ring and wait first
     calls = []
 
     def drift(x, u):
@@ -775,11 +828,9 @@ def test_producer_is_joined_on_early_break():
 
     ens = bounded(run)["value"]
     assert calls == [5000] and ens.excluded == 5000
-    assert threading.active_count() == before
 
 
 def test_producer_is_joined_when_a_callback_raises(ou_uncontrolled):
-    before = threading.active_count()
     calls = []
 
     def cost(x, u):
@@ -793,11 +844,9 @@ def test_producer_is_joined_when_a_callback_raises(ou_uncontrolled):
     cfg = SimulationConfig(dt=0.01, horizon=1.0, n_paths=5000, seed=2)
     out = bounded(lambda: simulate(m, None, cfg))
     assert str(out["error"]) == "cost failed at step 3"
-    assert threading.active_count() == before
 
 
 def test_producer_error_reaches_the_caller(monkeypatch, ou_uncontrolled):
-    before = threading.active_count()
     drawer = simulate_module._block_drawer
 
     def failing(*args):
@@ -810,20 +859,40 @@ def test_producer_error_reaches_the_caller(monkeypatch, ou_uncontrolled):
 
         return at
 
+    forks = count_forks(monkeypatch)
     monkeypatch.setattr(simulate_module, "_block_drawer", failing)
     cfg = SimulationConfig(dt=0.01, horizon=1.0, n_paths=5000, seed=2)
-    with pytest.raises(FloatingPointError, match="draw failed at step 5"):
+    with pytest.raises(FloatingPointError, match="^draw failed at step 5$"):
         simulate(ou_uncontrolled, None, cfg)
-    assert threading.active_count() == before
+    assert len(forks) == 1  # raised in the producer process, not inline
 
 
-def test_concurrent_prefetched_runs_under_fast_thread_switching(ou_uncontrolled):
-    # three runs at once, each with its own producer: six threads on fewer
-    # cores, switching every 10 us; a block handed over out of order or
-    # twice would change a digest
+def test_producer_that_dies_is_an_error(monkeypatch, ou_uncontrolled):
+    drawer = simulate_module._block_drawer
+
+    def dying(*args):
+        draw = drawer(*args)
+
+        def at(step, out):
+            if step == 5:
+                os._exit(3)  # no exception to send: the caller sees EOF
+            return draw(step, out)
+
+        return at
+
+    monkeypatch.setattr(simulate_module, "_block_drawer", dying)
+    cfg = SimulationConfig(dt=0.01, horizon=1.0, n_paths=5000, seed=2)
+    with pytest.raises(RuntimeError, match="producer process exited early"):
+        simulate(ou_uncontrolled, None, cfg)
+
+
+def test_concurrent_prefetched_runs_under_fast_thread_switching(monkeypatch, ou_uncontrolled):
+    # three runs at once, each forking its own producer from its own thread,
+    # switching every 10 us; a block handed over out of order or twice would
+    # change a digest
     cfg = SimulationConfig(dt=0.01, horizon=0.2, n_paths=4096, seed=8, antithetic=True)
     want = simulate(ou_uncontrolled, None, cfg).digest()
-    before = threading.active_count()
+    forks = count_forks(monkeypatch)
     outs = [{} for _ in range(3)]
 
     def run(out):
@@ -841,4 +910,4 @@ def test_concurrent_prefetched_runs_under_fast_thread_switching(ou_uncontrolled)
     finally:
         sys.setswitchinterval(interval)
     assert [out.get("digest") for out in outs] == [want] * 3
-    assert threading.active_count() == before
+    assert len(forks) == 3
