@@ -366,6 +366,9 @@ def _cmd_hjb(cfg, seed):
         "residual": sol.residual,
         "iterations": len(sol.history),
         "history": list(sol.history),
+        "evaluation": sol.evaluation,
+        "greedy_steps": len(sol.history),
+        "power_steps": sol.eigenpair.iterations if sol.evaluation != "howard" else 0,
     }
     return results, {"value_function.csv": _node_table(grid.coords(), names, sol.V, ctrl)}
 

@@ -54,6 +54,18 @@ def test_hjb_command_lq(tmp_path):
     assert header.startswith("x0,V,u0")
 
 
+def test_hjb_report_names_its_evaluation(tmp_path):
+    # 3D grids take the LU-free path and count its greedy and power steps
+    cfg = {"model": W_MODEL, "grid": {"radii": [4.0] * 3, "counts": [7] * 3}, "solver": {"tol": 1e-7}}
+    run("hjb", write_cfg(tmp_path, base=cfg), out_dir=tmp_path / "w")
+    res = json.loads((tmp_path / "w" / "report.json").read_text())["results"]
+    assert res["evaluation"] == "modified_policy_iteration"
+    assert res["greedy_steps"] == len(res["history"]) >= 1
+    assert res["power_steps"] >= res["greedy_steps"]
+    res = run("hjb", write_cfg(tmp_path, base=OU_61, name="ou.yaml"), out_dir=tmp_path / "o")["results"]
+    assert (res["evaluation"], res["greedy_steps"], res["power_steps"]) == ("howard", len(res["history"]), 0)
+
+
 def test_sweep_kappa_command(tmp_path):
     path = write_cfg(tmp_path, {"sweep": {"kappa": [1.0, 0.1]}})
     report = run("sweep-kappa", path, out_dir=tmp_path / "out")

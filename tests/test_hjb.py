@@ -1,10 +1,14 @@
 import itertools
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import ersc
 from ersc.discretize import OperatorKernel, build_grid
 from ersc.eigensolve import policy_value
 from ersc.hjb import (
@@ -14,7 +18,7 @@ from ersc.hjb import (
     solve_hjb,
     value_gradient_field,
 )
-from ersc.model import builtin_ou_lq
+from ersc.model import ControlSet, DiffusionModel, builtin_ou_lq
 
 P_RICCATI = 2.0 - np.sqrt(2.0)  # root of P^2/4 - P + 1/2 = 0
 W15_VALUE = 5.699585487809  # W network on 15^3, radius 4, tol 1e-7
@@ -182,7 +186,7 @@ def test_value_gradient_field_odd_symmetry(ou_uncontrolled, grid_241):
     assert np.max(np.abs(omega + omega[::-1])) <= 1e-8
 
 
-def test_w_network_factorization_count(w_network, monkeypatch):
+def _spy_splu(monkeypatch):
     orig, calls = spla.splu, []
 
     def spy(*args, **kwargs):
@@ -190,11 +194,139 @@ def test_w_network_factorization_count(w_network, monkeypatch):
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", spy)
-    sol = solve_hjb(w_network, build_grid([4.0] * 3, [15] * 3), tol=1e-7)
-    assert len(calls) <= 5
+    return calls
+
+
+def test_w_network_factorization_count(w_network, monkeypatch):
+    # a fixed policy's value on a 3D grid is still a pivot-free MMD LU solve
+    calls = _spy_splu(monkeypatch)
+    grid = build_grid([4.0] * 3, [15] * 3)
+    model_cost = w_network.cost_table(grid.coords())
+    pair = policy_value(w_network, grid, MarkovPolicy(np.argmin(model_cost, axis=0)), tol=1e-8)
+    assert pair.bracket_width <= 1e-8
+    assert 1 <= len(calls) <= 5
     assert set(calls) == {"MMD_AT_PLUS_A"}
+
+
+def test_w_network_solve_factors_nothing(w_network, monkeypatch):
+    # the HJB solve on a 3D grid is LU-free modified policy iteration
+    calls = _spy_splu(monkeypatch)
+    sol = solve_hjb(w_network, build_grid([4.0] * 3, [15] * 3), tol=1e-7)
+    assert calls == []
+    assert sol.evaluation == "modified_policy_iteration"
     assert abs(sol.value - W15_VALUE) <= 1e-8
-    assert len(sol.history) == 3
+    assert sol.residual <= 1e-7 and sol.eigenpair.bracket_width <= 1e-8
+
+
+def test_w_network_9_solves(w_network):
+    # Howard stalled here at residual 4.61859: its rows of Q^u V lost every
+    # digit to cancellation where V spans 20 decades; the uniformized
+    # products are subtraction-free.  Value iteration brackets the optimal
+    # value in [6.8919243841, 6.8919244799].
+    sol = solve_hjb(w_network, build_grid([4.0] * 3, [9] * 3), tol=1e-7)
+    assert sol.residual <= 1e-7 and sol.eigenpair.bracket_width <= 1e-8
+    assert abs(sol.value - 6.8919244320) <= 5e-8
+    assert sol.V.max() / sol.V.min() > 1e20
+
+
+@pytest.mark.parametrize("count", [11, 15])
+def test_w_network_bracket_meets_its_policy_value(w_network, count):
+    # [cw_lower, cw_upper] brackets both the optimal value and the returned
+    # policy's Perron value, which the LU path certifies independently
+    grid = build_grid([4.0] * 3, [count] * 3)
+    sol = solve_hjb(w_network, grid, tol=1e-7)
+    pair = policy_value(w_network, grid, sol.policy, tol=1e-10)
+    assert pair.cw_lower <= sol.eigenpair.cw_upper
+    assert sol.eigenpair.cw_lower <= pair.cw_upper
+
+
+def _separable_lq(dim, a=-1.0, sigma=1.0, q=1.0, c=2.0, u_max=1.0, per_axis=3):
+    """builtin_ou_lq on every axis: product controls, separable cost."""
+    axis = np.linspace(-u_max, u_max, per_axis)
+    points = np.array(list(itertools.product(axis, repeat=dim)))
+
+    def drift(x, u):
+        return a * np.asarray(x, dtype=float) + u
+
+    def cost(x, u):
+        x = np.asarray(x, dtype=float)
+        u = np.broadcast_to(u, x.shape)
+        return 0.5 * q * np.sum(x * x, axis=-1) + 0.5 * c * np.sum(u * u, axis=-1)
+
+    return DiffusionModel(dim, drift, lambda x: sigma * np.eye(dim), cost, ControlSet(points))
+
+
+def test_separable_lq_3d_is_three_times_1d():
+    # the 3D generator and cost are the Kronecker sums of the 1D ones, so the
+    # discrete value is exactly three times the 1D value
+    one = solve_hjb(builtin_ou_lq(-1.0, 1.0, 1.0, 2.0, 1.0, 3), build_grid([3.0], [15]), tol=1e-10)
+    three = solve_hjb(_separable_lq(3), build_grid([3.0] * 3, [15] * 3), tol=1e-7)
+    assert (one.evaluation, three.evaluation) == ("howard", "modified_policy_iteration")
+    slack = 0.5 * three.eigenpair.bracket_width + 1.5 * one.eigenpair.bracket_width
+    assert abs(three.value - 3.0 * one.value) <= slack + 1e-12
+
+
+def test_w_network_history_is_non_increasing(w_network):
+    # each greedy step's upper bound is at most the last one in exact
+    # arithmetic; each is read to about eps times the largest exit rate
+    # (about 1e-13 here)
+    sol = solve_hjb(w_network, build_grid([4.0] * 3, [11] * 3), tol=1e-7)
+    assert len(sol.history) >= 3
+    assert all(b <= a + 1e-12 for a, b in zip(sol.history, sol.history[1:]))
+    assert sol.history[-1] == sol.eigenpair.cw_upper
+
+
+def test_w_network_budget_error(w_network):
+    with pytest.raises(HjbError, match=r"residual (\S+) \(tol 1e-07\) after 1 greedy steps") as err:
+        solve_hjb(w_network, build_grid([4.0] * 3, [11] * 3), tol=1e-7, max_iter=1)
+    assert float(re.search(r"residual (\S+) ", str(err.value)).group(1)) >= 1e-7
+
+
+def test_w_network_tol_below_rounding_floor_raises(w_network):
+    with pytest.raises(HjbError, match=r"rounding floor"):
+        solve_hjb(w_network, build_grid([4.0] * 3, [7] * 3), tol=1e-15)
+
+
+def test_3d_reducible_chain_raises():
+    # no diffusion or drift along axis 1: every slice x1 = c is closed, and
+    # the slices grow at different rates until V leaves the float range
+    m = DiffusionModel(
+        3,
+        lambda x, u: -np.asarray(x) * np.array([1.0, 0.0, 1.0]),
+        lambda x: np.diag([1.0, 0.0, 1.0]),
+        lambda x, u: 0.5 * np.sum(np.asarray(x) ** 2, axis=-1),
+        ControlSet(np.zeros((1, 1))),
+    )
+    with np.errstate(invalid="ignore"), pytest.raises(HjbError, match="not irreducible"):
+        solve_hjb(m, build_grid([2.0] * 3, [5] * 3), tol=1e-7)
+
+
+def test_3d_solve_never_imports_sparse_linalg(tmp_path):
+    # the test process already holds scipy.sparse.linalg, so a fresh
+    # interpreter checks that the LU-free path loads no factorization code
+    code = """
+import sys
+import numpy as np
+from ersc.discretize import build_grid
+from ersc.hjb import solve_hjb
+from ersc.model import builtin_w_network
+w = builtin_w_network([1.0] * 3, np.array([[1.0, 0.0], [1.0, 2.0], [0.0, 1.5]]), [-0.5] * 3,
+                      [1.0, 2.0, 3.0], 1)
+assert solve_hjb(w, build_grid([4.0] * 3, [7] * 3), tol=1e-7).residual <= 1e-7
+print(sorted(name for name in sys.modules if name.startswith("scipy.sparse.linalg")))
+"""
+    src = os.path.dirname(os.path.dirname(ersc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_repeated_policy_above_tol_raises(ou_uncontrolled, grid_241):
