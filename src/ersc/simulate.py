@@ -23,31 +23,35 @@ A block does not depend on the path state, so it can be drawn ahead: each
 run resets one Philox per step instead of building one, and a run whose
 blocks hold at least ``_PRODUCER_MIN_NORMALS`` normals forks one producer
 process that draws them into a small shared ring, off the stepper's critical
-path.  Without ``os.fork``, or when the fork fails, the run draws them
-inline.  The blocks are the same either way.  Inline against producer on
-the OU model (d = 1), shared 2-vCPU host, median [quartiles] of five
-alternated runs:
+path.  When the stepper finds its next block not yet drawn, it draws a later
+block itself while it waits, so the two processes share the drawing where
+the producer is the bottleneck, and the producer draws nearly all of it
+where the stepper is.  Without ``os.fork``, or when the fork fails, the run
+draws the blocks inline.  The blocks are the same either way.  Inline, the
+producer alone (the stepper waits for every late block) and producer + steal
+on the OU model (d = 1), shared 2-vCPU host, median [quartiles] of nine
+alternated runs, one process per variant and run; "won" counts the runs in
+which producer + steal beat the producer alone:
 
   free-running, 2000 steps, microseconds per step (fork and reap included)
 
-    paths   inline                producer              producer won
-       64    18.9 [18.6-20.8]      20.7 [20.4-21.4]     1 of 5
-      256    24.1 [23.9-25.0]      23.5 [23.0-29.5]     3 of 5
-      512    39.2 [30.5-42.1]      35.2 [29.7-36.9]     4 of 5
-     1024    55.6 [44.6-62.3]      44.1 [36.9-44.8]     4 of 5
-     2048    63.8 [62.8-65.2]      49.3 [46.6-51.8]     5 of 5
-     4096   111.3 [106.7-119.2]    86.7 [78.7-94.5]     5 of 5
-    10000   243.6 [238.9-262.7]   192.8 [185.6-240.4]   4 of 5
+    paths   inline                producer              producer + steal      won
+      256    23.5 [22.8-28.3]      21.1 [20.7-23.0]      21.6 [20.7-24.5]     3 of 9
+      512    28.4 [28.1-34.8]      23.9 [23.5-24.9]      24.8 [22.9-27.2]     5 of 9
+     1024    38.5 [38.0-46.2]      29.0 [26.7-34.0]      26.5 [25.6-33.6]     7 of 9
+     2048    63.9 [58.7-73.8]      46.9 [46.0-47.6]      38.8 [37.0-45.0]     9 of 9
+     4096   104.1 [102.0-112.5]    80.0 [78.9-80.9]      65.1 [63.2-73.5]     9 of 9
+    10000   226.8 [221.7-259.8]   185.9 [176.7-192.0]   146.3 [128.2-154.6]   9 of 9
 
   frozen: the twisted hitting-time check (R = 1, horizon 12, dt 1e-3,
   starts 2 and -2), seconds per call
 
-    paths   inline             producer           producer won
-      256   0.49 [0.44-0.55]   0.46 [0.45-0.49]   2 of 5
-      512   0.68 [0.65-0.71]   0.66 [0.63-0.68]   3 of 5
-     1024   0.88 [0.87-0.98]   0.78 [0.72-0.80]   5 of 5
-     2048   1.22 [1.14-1.30]   0.88 [0.86-0.95]   5 of 5
-     4096   2.39 [1.89-2.47]   1.61 [1.45-1.82]   5 of 5
+    paths   inline             producer           producer + steal   won
+      256   0.35 [0.33-0.35]   0.35 [0.34-0.39]   0.36 [0.34-0.40]   4 of 9
+      512   0.40 [0.38-0.42]   0.40 [0.38-0.52]   0.40 [0.39-0.43]   6 of 9
+     1024   0.62 [0.60-0.63]   0.59 [0.54-0.67]   0.55 [0.55-0.61]   6 of 9
+     2048   0.94 [0.91-0.95]   0.70 [0.69-0.75]   0.70 [0.67-0.75]   6 of 9
+     4096   1.40 [1.33-1.43]   0.99 [0.96-1.03]   0.96 [0.91-1.10]   6 of 9
 
 Forking and reaping the producer took 1.6 ms in a 93 MB process on that
 host.  The stepper does only the work its outputs depend on:
@@ -184,12 +188,14 @@ def _step_normals(seed: int, step: int, n: int, d: int, antithetic: bool) -> np.
 
 
 # One producer process draws the blocks ahead of the stepper when a block
-# holds at least this many normals: from there it won at least 4 of 5 runs,
-# free-running and frozen (the table in the module docstring).
+# holds at least this many normals: from there producer + steal beat inline
+# drawing in at least 8 of 9 runs, free-running and frozen (the table in the
+# module docstring).
 _PRODUCER_MIN_NORMALS = 1024
 # blocks in the shared ring: the producer runs at most this many steps ahead
-# (640 KB at 10,000 paths; 2 slots lost about 15% of a twisted run, 32 gained
-# nothing over 8)
+# (640 KB at 10,000 paths, and as much again for the stepper's private ring
+# once it draws a block itself; 2 slots lost about 15% of a twisted run, 32
+# gained nothing over 8)
 _RING_SLOTS = 8
 
 
@@ -224,8 +230,18 @@ def _normal_blocks(cfg: SimulationConfig, d: int):
     least ``_PRODUCER_MIN_NORMALS`` normals a forked producer process draws
     them ahead (``_fork_producer``); else, or where that process cannot be
     started, one (n, d) buffer is refilled inline.  The blocks are the same
-    either way.  Closing the generator kills and reaps the producer, and the
-    caller closes it on every exit.
+    either way.
+
+    With a producer, block k is read from its ring after one b"+" on the
+    non-blocking ``filled`` pipe.  When that byte is not there yet, the
+    producer is behind, and the stepper fills the wait: it grants block
+    j = k + slots early as b"s" ("skip"), draws block j itself into a private
+    ring (slot j % slots, allocated on the first such draw), and only then
+    blocks on the pipe for block k.  At step j it reads its own copy and
+    nothing from the pipe.  Otherwise the end of step k grants block k + slots
+    as b"-" ("draw into slot (k + slots) % slots").  Grants go out in block
+    order, one per block past the first ``slots``.  Closing the generator
+    kills and reaps the producer, and the caller closes it on every exit.
     """
     n, steps = cfg.n_paths, cfg.n_steps
     draw = _block_drawer(cfg.seed, n, d, cfg.antithetic)
@@ -240,17 +256,35 @@ def _normal_blocks(cfg: SimulationConfig, d: int):
 
     pid, ring, filled, freed = producer
     slots = len(ring)
+    own = None  # the private ring of the blocks the stepper draws itself
+    stolen = set()
+    os.set_blocking(filled, False)
     try:
         for k in range(steps):
-            flag = os.read(filled, 1)
-            if flag != b"+":
-                raise _producer_error(flag, filled)
-            yield ring[k % slots]
-            if k + slots < steps:
+            due = k + slots < steps  # block k + slots still needs its grant
+            if k in stolen:
+                stolen.remove(k)
+                yield own[k % slots]
+            else:
                 try:
-                    os.write(freed, b"-")  # slot k % slots may take block k + slots
-                except BrokenPipeError:
-                    pass  # the producer is gone: the next read says why
+                    flag = os.read(filled, 1)
+                except BlockingIOError:  # the producer is behind: fill the wait
+                    if due:
+                        j = k + slots
+                        _grant(freed, b"s")
+                        if own is None:
+                            own = np.empty_like(ring)
+                        draw(j, own[j % slots])
+                        stolen.add(j)
+                        due = False
+                    os.set_blocking(filled, True)
+                    flag = os.read(filled, 1)
+                    os.set_blocking(filled, False)
+                if flag != b"+":
+                    raise _producer_error(flag, filled)
+                yield ring[k % slots]
+            if due:
+                _grant(freed, b"-")  # slot k % slots may take block k + slots
     finally:
         os.close(freed)
         os.close(filled)
@@ -258,17 +292,26 @@ def _normal_blocks(cfg: SimulationConfig, d: int):
         os.waitpid(pid, 0)
 
 
+def _grant(freed: int, flag: bytes) -> None:
+    """Send the producer the grant ``flag`` for its next block past the ring."""
+    try:
+        os.write(freed, flag)
+    except BrokenPipeError:
+        pass  # the producer is gone: the next read says why
+
+
 def _fork_producer(draw: Callable, steps: int, n: int, d: int):
     """Fork the process that fills a ring of normal blocks, or None.
 
     The ring is ``_RING_SLOTS`` (n, d) blocks of anonymous shared memory;
     block k goes to slot k % slots.  Two pipes synchronise it: the producer
-    writes b"+" to ``filled`` per block drawn, and the caller writes one byte
-    to ``freed`` per slot it releases.  The producer keeps only its two pipe
-    ends, so EOF on either pipe ends the other side.  An exception in the
-    producer is sent as b"!" and its pickle.  Returns (pid, ring, filled,
-    freed), or None where ``os.fork`` is missing or it, the ring or a pipe
-    fails.
+    writes b"+" to ``filled`` per block drawn, and the caller writes one grant
+    byte to ``freed`` per block past the first ``slots``, in block order: b"-"
+    for a block the producer is to draw into its slot, b"s" for one the caller
+    draws itself.  The producer keeps only its two pipe ends, so EOF on either
+    pipe ends the other side.  An exception in the producer is sent as b"!"
+    and its pickle.  Returns (pid, ring, filled, freed), or None where
+    ``os.fork`` is missing or it, the ring or a pipe fails.
     """
     fork = getattr(os, "fork", None)
     if fork is None:
@@ -296,7 +339,12 @@ def _fork_producer(draw: Callable, steps: int, n: int, d: int):
 
 
 def _produce(draw: Callable, ring: np.ndarray, steps: int, filled: int, freed: int):
-    """The producer process's body: draw every block into the ring, then exit."""
+    """The producer process's body: draw every block into the ring, then exit.
+
+    Block k draws into slot k % slots at once for k < slots, and after its
+    grant byte on ``freed`` otherwise: b"-" draws it and writes b"+", b"s"
+    skips it (the caller drew it), and EOF ends the loop.
+    """
     import gc
 
     gc.disable()  # run no finalizer of the parent's objects here
@@ -308,8 +356,12 @@ def _produce(draw: Callable, ring: np.ndarray, steps: int, filled: int, freed: i
         os.closerange(hi + 1, os.sysconf("SC_OPEN_MAX"))
         slots = len(ring)
         for k in range(steps):
-            if k >= slots and not os.read(freed, 1):
-                break  # the caller is done
+            if k >= slots:
+                grant = os.read(freed, 1)
+                if not grant:
+                    break  # the caller is done
+                if grant == b"s":
+                    continue  # the caller draws this block itself
             draw(k, ring[k % slots])
             os.write(filled, b"+")
         code = 0
@@ -334,6 +386,7 @@ def _producer_error(flag: bytes, filled: int) -> BaseException:
     if flag == b"!":
         import pickle
 
+        os.set_blocking(filled, True)  # the pickle may exceed the pipe buffer
         chunks = []
         while chunk := os.read(filled, 1 << 16):
             chunks.append(chunk)
@@ -558,8 +611,9 @@ def _euler_maruyama(
 
     The normal blocks come from ``_normal_blocks``: drawn ahead by a forked
     producer process when a block holds at least ``_PRODUCER_MIN_NORMALS``
-    normals, else inline.  The process is killed and reaped before this
-    returns or raises.
+    normals, else inline; while it waits for a block that process has not
+    drawn yet, the stepper draws a later one itself.  The process is killed
+    and reaped before this returns or raises.
     """
     n, d, dt = cfg.n_paths, model.dim, cfg.dt
     sq = np.sqrt(dt)

@@ -722,6 +722,10 @@ def consumed_blocks(monkeypatch, model, cfg, starts, **kwargs):
     ],
 )
 def test_stepper_blocks_equal_step_normals(monkeypatch, n, d, antithetic, n_starts):
+    assert_stepper_blocks(monkeypatch, n, d, antithetic, n_starts)
+
+
+def assert_stepper_blocks(monkeypatch, n, d, antithetic, n_starts):
     # twenty steps: the producer's ring of slots is reused more than twice
     cfg = SimulationConfig(dt=0.1, horizon=2.0, n_paths=n, seed=17, antithetic=antithetic)
     assert cfg.n_steps > 2 * simulate_module._RING_SLOTS
@@ -734,13 +738,18 @@ def test_stepper_blocks_equal_step_normals(monkeypatch, n, d, antithetic, n_star
 
 
 def test_frozen_and_dead_paths_read_their_rows_of_the_block(monkeypatch, ou_uncontrolled):
+    assert_frozen_rows(monkeypatch, ou_uncontrolled)
+
+
+def assert_frozen_rows(monkeypatch, model):
     # after compaction each moving path still reads its own row of the block;
     # 5000 paths: the blocks come from the producer process
     cfg = SimulationConfig(dt=0.1, horizon=3.0, n_paths=5000, seed=6)
     assert cfg.n_paths >= _PRODUCER_MIN_NORMALS
+    assert cfg.n_steps > 2 * simulate_module._RING_SLOTS
     starts = np.array([[1.5]])
-    paths = _euler_maruyama(ou_uncontrolled, lambda x: np.zeros(1), cfg, starts, stop_radius=1.0)
-    seen = consumed_blocks(monkeypatch, ou_uncontrolled, cfg, starts, stop_radius=1.0)
+    paths = _euler_maruyama(model, lambda x: np.zeros(1), cfg, starts, stop_radius=1.0)
+    seen = consumed_blocks(monkeypatch, model, cfg, starts, stop_radius=1.0)
     steps = np.where(np.isnan(paths.hit), cfg.n_steps, np.rint(paths.hit / cfg.dt))
     for k, xi in enumerate(seen):
         rows = np.flatnonzero(steps > k)
@@ -911,3 +920,108 @@ def test_concurrent_prefetched_runs_under_fast_thread_switching(monkeypatch, ou_
         sys.setswitchinterval(interval)
     assert [out.get("digest") for out in outs] == [want] * 3
     assert len(forks) == 3
+
+
+def hook_draws(monkeypatch, in_parent=None, in_child=None):
+    """Call ``in_parent(step)`` before each draw of this process, ``in_child(step)`` in the producer."""
+    drawer = simulate_module._block_drawer
+    parent = os.getpid()
+
+    def hooked(*args):
+        draw = drawer(*args)
+
+        def at(step, out):
+            hook = in_parent if os.getpid() == parent else in_child
+            if hook is not None:
+                hook(step)
+            return draw(step, out)
+
+        return at
+
+    monkeypatch.setattr(simulate_module, "_block_drawer", hooked)
+
+
+def slow_producer(monkeypatch, delay=2e-3):
+    """Slow every draw of the producer process; return the steps this process draws."""
+    drawn = []
+    hook_draws(monkeypatch, drawn.append, lambda step: time.sleep(delay))
+    return drawn
+
+
+@pytest.mark.parametrize(
+    "n, d, antithetic, n_starts",
+    [
+        (5000, 1, False, 1),
+        (2100, 2, False, 1),
+        (4097, 1, True, 1),  # antithetic, odd n
+        (4100, 1, False, 2),  # batched starts: N > n
+    ],
+)
+def test_blocks_the_stepper_draws_itself_equal_step_normals(monkeypatch, n, d, antithetic, n_starts):
+    assert n * d >= _PRODUCER_MIN_NORMALS
+    drawn = slow_producer(monkeypatch)
+    assert_stepper_blocks(monkeypatch, n, d, antithetic, n_starts)
+    # only blocks past the first ring, each at most once
+    assert drawn and min(drawn) >= simulate_module._RING_SLOTS
+    assert len(set(drawn)) == len(drawn)
+
+
+def test_frozen_rows_of_blocks_the_stepper_draws_itself(monkeypatch, ou_uncontrolled):
+    drawn = slow_producer(monkeypatch)
+    assert_frozen_rows(monkeypatch, ou_uncontrolled)
+    assert drawn
+
+
+def test_stepper_bound_run_draws_no_block_itself(monkeypatch):
+    # a producer ahead of a slow stepper always has the next block ready; only
+    # the first read, right after the fork, may find the pipe empty
+    def drift(x, u):
+        time.sleep(2e-3)
+        return np.zeros(np.shape(x))
+
+    drawn = slow_producer(monkeypatch, delay=0.0)
+    m = dataclasses.replace(brownian_model(), drift=drift)
+    cfg = SimulationConfig(dt=0.1, horizon=4.0, n_paths=5000, seed=3)
+    assert cfg.n_steps == 40
+    simulate(m, None, cfg)
+    assert len(drawn) <= 1
+
+
+def past_the_ring(fault):
+    """``fault`` for the blocks from ``_RING_SLOTS`` on, which the stepper may also draw."""
+    return lambda step: step >= simulate_module._RING_SLOTS and fault()
+
+
+def test_producer_error_past_the_ring_reaches_the_caller_whole(monkeypatch, ou_uncontrolled):
+    # the pickled exception is larger than a pipe buffer, and arrives on the
+    # pipe the stepper otherwise reads without blocking
+    message = "x" * 200_000
+
+    def fail():
+        raise FloatingPointError(message)
+
+    hook_draws(monkeypatch, in_child=past_the_ring(fail))
+    cfg = SimulationConfig(dt=0.01, horizon=1.0, n_paths=5000, seed=2)
+    with pytest.raises(FloatingPointError) as info:
+        simulate(ou_uncontrolled, None, cfg)
+    assert str(info.value) == message
+
+
+def test_producer_that_dies_past_the_ring_is_an_error(monkeypatch, ou_uncontrolled):
+    hook_draws(monkeypatch, in_child=past_the_ring(lambda: os._exit(3)))
+    cfg = SimulationConfig(dt=0.01, horizon=1.0, n_paths=5000, seed=2)
+    with pytest.raises(RuntimeError, match="producer process exited early"):
+        simulate(ou_uncontrolled, None, cfg)
+
+
+def test_stepper_draw_error_kills_the_producer(monkeypatch, ou_uncontrolled):
+    def fail(step):
+        raise FloatingPointError(f"draw failed at step {step}")
+
+    forks = count_forks(monkeypatch)
+    hook_draws(monkeypatch, fail, lambda step: time.sleep(2e-3))
+    cfg = SimulationConfig(dt=0.01, horizon=1.0, n_paths=5000, seed=2)
+    out = bounded(lambda: simulate(ou_uncontrolled, None, cfg))
+    step = int(re.fullmatch(r"draw failed at step (\d+)", str(out["error"]))[1])
+    assert step >= simulate_module._RING_SLOTS
+    assert len(forks) == 1
