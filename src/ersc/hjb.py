@@ -1,6 +1,7 @@
 """Multiplicative HJB equation min_u [L^u V + r V] = Lambda V.
 
-``solve_hjb`` chooses its evaluation path by the grid's dimension.
+``solve_hjb`` chooses its evaluation path by the grid's dimension, by the
+gate ``eigensolve._LU_FREE_DIM`` that ``policy_value`` reads too.
 
 Howard policy iteration (1D and 2D grids).  Each outer step evaluates the
 current policy through its principal eigenpair and improves it by the rowwise
@@ -12,41 +13,14 @@ these upper bounds is therefore non-increasing (the bracket midpoint is not:
 it may rise by up to half a bracket), and the iteration terminates at a fixed
 point of the discrete HJB operator.
 
-LU-free modified policy iteration (grids of dimension 3 and more).  Each
-control's generator is assembled once, and the uniformized maps
-
-    B_u = I + dt (Q^u + diag r^u),   dt = 1 / max_{u,i} (exit_i - r^u_i),
-
-are stacked into one (k n, n) CSR matrix.  Every B_u is nonnegative, so each
-product B_u V is subtraction-free and componentwise accurate however many
-decades V spans.  T V = min_u B_u V is monotone and positively homogeneous,
-and its iterates are the finite-horizon multiplicative dynamic program over
-all non-anticipative controls, so for every positive V the nonlinear
-Collatz-Wielandt bounds (Gaubert & Gunawardena, *Trans. AMS* 356, 2004)
-
-    lo = min_i ((T V)_i / V_i - 1) / dt  <=  Lambda*  <=  up = max_i (...)
-
-bracket the optimal value.  The greedy policy pi, the row argmin of T V, has
-B_pi V = T V: its own CW bracket at V is this same bracket, which therefore
-holds pi's Perron value too.  A greedy step (one product with the stacked
-matrix) gives T V, pi and the bracket; power steps V <- B_pi V / (B_pi V)[origin]
-follow until pi's own CW width is at most ``_POWER_SHARE`` of the bracket
-(Puterman & Shin, *Management Sci.* 24, 1978, with the number of power steps
-set by that share).  B_pi V <= (1 + dt up) V carries over to B_pi^m V, so the
-greedy ``up`` never rises.  No factorization is made and
-``scipy.sparse.linalg`` is never imported.
-
-Why a gate by dimension: the LU-free iteration count grows like h^-2 in every
-dimension, while the LU fill grows superlinearly only in 3D.  Seconds per
-solve at tol 1e-7 (best of two calls, one process per path, shared 2-vCPU
-host, one BLAS thread), Howard + LU / LU-free:
-
-    1D LQ, 5 controls, 241 / 481 nodes         0.006 / 0.016   against  0.29 / 1.21
-    2D separable LQ, 9 controls, 41^2          0.082           against  0.058
-                                 81^2 / 121^2  0.34 / 0.87     against  0.42 / 1.88
-    3D separable LQ, 27 controls, 15^3 / 21^3  0.35 / 2.97     against  0.14 / 0.52
-    W network, 6 controls, 11^3 / 15^3         0.070 / 0.27    against  0.026 / 0.12
-                           21^3 / 29^3         2.04 / 8.99     against  0.27 / 0.85
+LU-free modified policy iteration (grids of dimension
+``eigensolve._LU_FREE_DIM`` and more): ``eigensolve._uniformized_perron`` over
+every control's generator, the loop ``policy_value`` runs over one.  Each
+greedy step gives the greedy policy and a Collatz-Wielandt bracket that holds
+both the optimal value and that policy's Perron value; power steps under the
+policy follow.  No factorization is made and ``scipy.sparse.linalg`` is never
+imported.  The ``eigensolve`` module docstring states the loop and why the
+gate is by dimension.
 
 ``_howard`` is the package's one Howard loop, for the Perron steps here and the
 Poisson steps of ``game``; its docstring states their stop, stall and budget rule.
@@ -60,7 +34,14 @@ from typing import Optional
 import numpy as np
 
 from .discretize import Grid, OperatorKernel
-from .eigensolve import Eigenpair, bracket_floor, principal_eigenpair
+from .eigensolve import (
+    _LU_FREE_DIM,
+    Eigenpair,
+    _check_tol,
+    _uniformized_perron,
+    bracket_floor,
+    principal_eigenpair,
+)
 from .model import sigma_t_times
 
 __all__ = [
@@ -68,21 +49,12 @@ __all__ = [
     "HjbSolution",
     "HjbError",
     "solve_hjb",
-    "check_optimality_condition",
     "value_gradient_field",
 ]
 
 
 class HjbError(RuntimeError):
     pass
-
-
-# a power sweep ends once its policy's own CW width is this share of the
-# greedy bracket it started from
-_POWER_SHARE = 0.01
-# the most power steps one sweep takes; a policy too slow to reach the share
-# hands over to the next greedy step (the longest sweep on W 41^3 took 1,058)
-_POWER_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -210,12 +182,6 @@ def _howard(step, policy, tol: float, max_iter: int, error: type):
     )
 
 
-def _check_tol(tol):
-    # NaN fails the comparison, so this rejects it too
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-
-
 def _key(policy) -> bytes:
     """The bytes of a MarkovPolicy, or of a tuple of policies and arrays."""
     parts = policy if isinstance(policy, tuple) else (policy,)
@@ -233,8 +199,8 @@ def solve_hjb(
     scheme: str = "hybrid",
 ) -> HjbSolution:
     """Solve the multiplicative HJB equation: Howard policy iteration on 1D
-    and 2D grids, LU-free modified policy iteration on grids of dimension 3
-    and more (module docstring).
+    and 2D grids, LU-free modified policy iteration on grids of dimension
+    ``_LU_FREE_DIM`` (3) and more (module docstring).
 
     Args:
         model, grid: problem instance; every control must induce an
@@ -254,17 +220,15 @@ def solve_hjb(
     bracket certifies any positive start, so the warm start changes iteration
     counts, not the gates.
 
-    Modified policy iteration: power steps under the initial policy come
-    first, from V = 1 (the myopic policy is also the greedy policy at V = 1).
-    The loop stops at the first greedy step whose bracket is at most
-    max(tol/10, floor), the floor being the largest ``bracket_floor`` of
-    the controls' matrices.
+    Modified policy iteration: power steps under the initial policy from
+    V = 1 come first (the myopic policy is greedy at V = 1); the loop stops
+    at the first greedy bracket at most max(tol/10, rounding floor).
 
     Raises:
         ValueError: before any solve, on a tol that is not finite and positive.
         HjbError: by the stall and budget rule of ``_howard``; on the LU-free
-            path when ``max_iter`` greedy steps run out, when the residual at
-            the rounding floor is not below tol, and on a non-finite cost.
+            path at once on a tol below the rounding floor and on a non-finite
+            cost, and when ``max_iter`` greedy steps run out.
     """
     kernel = OperatorKernel(model, grid, scheme)
     r_all = cost_scale * model.cost_table(kernel.coords, cost_fn)
@@ -276,11 +240,17 @@ def solve_hjb(
         if policy.is_relaxed:
             raise HjbError("policy iteration requires a precise initial policy")
 
-    if grid.dim >= 3:
-        evaluation, solve = "modified_policy_iteration", _modified_policy_iteration
+    if grid.dim >= _LU_FREE_DIM:
+        evaluation = "modified_policy_iteration"
+        n, k = grid.n_nodes, len(r_all)
+        generators = (kernel.assemble_policy(MarkovPolicy.constant(u, n)) for u in range(k))
+        pair, greedy, residual, history = _uniformized_perron(
+            generators, r_all, policy.assignment, tol, max_iter, grid, HjbError, share=0.1
+        )
+        policy = MarkovPolicy(greedy)
     else:
-        evaluation, solve = "howard", _howard_perron
-    pair, policy, residual, history = solve(kernel, r_all, policy, tol, max_iter, grid)
+        evaluation = "howard"
+        pair, policy, residual, history = _howard_perron(kernel, r_all, policy, tol, max_iter, grid)
     return HjbSolution(
         value=pair.value,
         V=pair.vector,
@@ -316,102 +286,6 @@ def _howard_perron(kernel, r_all, policy, tol, max_iter, grid):
 
     policy, residual, history = _howard(step, policy, tol, max_iter, HjbError)
     return pair, policy, residual, history
-
-
-def _modified_policy_iteration(kernel, r_all, policy, tol, max_iter, grid):
-    """LU-free solve on the uniformized maps B_u (module docstring and
-    ``solve_hjb``): (eigenpair, policy, residual, history).
-
-    The first power sweep, under the initial policy from V = 1, runs to
-    ``_POWER_SHARE`` of that policy's own CW width at V = 1, the spread of its
-    running cost.  Every power target is raised to the rounding floor.
-    """
-    import scipy.sparse as sp
-
-    _check_tol(tol)
-    k, n = r_all.shape
-    r = r_all.ravel()
-    if not np.all(np.isfinite(r)):
-        raise HjbError("the running-cost table contains non-finite entries")
-    # every row of an assembled generator stores its diagonal, minus its exit rate
-    B = sp.vstack(
-        [kernel.assemble_policy(MarkovPolicy.constant(u, n)) for u in range(k)], format="csr"
-    )
-    rows = np.repeat(np.arange(k * n), np.diff(B.indptr))
-    diag = B.indices == rows % n
-    exit_rate = np.zeros(k * n)
-    exit_rate[rows[diag]] = -B.data[diag]
-    peak = float(np.max(exit_rate - r))
-    dt = 1.0 / (peak if peak > 0.0 else float(np.max(exit_rate)))
-    B.data *= dt
-    B.data[diag] = np.maximum(1.0 + dt * (r - exit_rate), 0.0)[rows[diag]]
-    floor = 8.0 * np.finfo(float).eps * float(np.max(2.0 * exit_rate + np.abs(r)))
-    origin, nodes = grid.origin_node, np.arange(n)
-
-    def sweep(policy, V, target):
-        # power steps under one policy until its own CW width is at most target
-        B_pi = B[policy * n + nodes]
-        for steps in range(1, _POWER_CAP + 1):
-            W = B_pi @ V
-            ratio = W / V
-            V = W / W[origin]
-            # a NaN width (V left the finite positive range) ends the sweep too
-            if not (ratio.max() - ratio.min()) / dt > target:
-                break
-        return V, steps
-
-    spread = float(np.ptp(r_all[policy.assignment, nodes]))
-    V, powers = sweep(policy.assignment, np.ones(n), max(_POWER_SHARE * spread, floor))
-    stop, history, residual = max(0.1 * tol, floor), [], np.inf
-    for _ in range(max_iter):
-        W = (B @ V).reshape(k, n)
-        greedy = np.argmin(W, axis=0)
-        ratio = (W[greedy, nodes] / V - 1.0) / dt
-        lo, up = float(ratio.min()), float(ratio.max())
-        value = 0.5 * (lo + up)
-        residual = float(np.max(np.abs(ratio - value)))
-        if not np.isfinite(residual):
-            raise HjbError(
-                "modified policy iteration: V left the finite positive range, "
-                "so the chain of a greedy policy is not irreducible"
-            )
-        history.append(up)
-        if up - lo <= stop:
-            break
-        V, steps = sweep(greedy, V, max(_POWER_SHARE * (up - lo), floor))
-        powers += steps
-    else:
-        raise HjbError(
-            f"modified policy iteration stopped at residual {residual:g} (tol {tol:g}) "
-            f"after {max_iter} greedy steps"
-        )
-    if not residual < tol:
-        raise HjbError(
-            f"modified policy iteration stalled at residual {residual:g} (tol {tol:g}): "
-            f"the rounding floor {floor:g} of its bracket is above tol"
-        )
-    pair = Eigenpair(
-        value=value, vector=V, cw_lower=lo, cw_upper=up, iterations=powers,
-        origin_node=origin, grid=grid,
-    )
-    return pair, MarkovPolicy(greedy), residual, history
-
-
-def check_optimality_condition(solution: HjbSolution, candidate: MarkovPolicy, tol: float = 1e-8):
-    """Per-node gap between a candidate policy's row value and the rowwise minimum.
-
-    Returns (gaps, is_minimizer): gaps are relative to V like the HJB
-    residual; the candidate is declared a minimizer when max gap <= tol.
-    Relaxed candidates are scored through their mixed rows, so any mixture of
-    tied minimizers passes.  Rows use the cost table the solution was solved
-    with, so ``cost_fn``/``cost_scale`` solves are checked against their own
-    running cost.
-    """
-    kernel = OperatorKernel(solution.model, solution.grid, solution.scheme)
-    V = solution.V
-    rows = kernel.control_rows(V) + solution.cost_table * V
-    gaps = (candidate.pick(rows) - np.min(rows, axis=0)) / V
-    return gaps, bool(np.max(gaps) <= tol)
 
 
 def value_gradient_field(solution_or_V, grid: Grid, model=None) -> np.ndarray:

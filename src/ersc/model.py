@@ -294,7 +294,6 @@ def builtin_w_network(
     l_vec: Sequence[float],
     cost_weights: Sequence[float],
     n_controls: int,
-    idle_weights: Optional[Sequence[float]] = None,
     region_delta: float = 0.2,
 ) -> DiffusionModel:
     """Diffusion limit of the W parallel-server network in heavy traffic.
@@ -302,8 +301,7 @@ def builtin_w_network(
     Drift b(x,u) = l - M1 (x - (e.x)^+ u^c) + (e.x)^- M2 u^s with the
     scheduling control u = (u^c, u^s) on the product of a 2-simplex and a
     1-simplex, Sigma = diag(sqrt(2 lambda_i)), and queueing cost
-    r(x,u) = sum_i c_i (e.x)^+ u_i^c (optionally plus idling cost
-    sum_j d_j (e.x)^- u_j^s).
+    r(x,u) = sum_i c_i (e.x)^+ u_i^c.
 
     ``n_controls`` sets the number of subdivisions per simplex; the control
     set is the cross product of the two simplex grids.
@@ -323,9 +321,6 @@ def builtin_w_network(
             raise ModelError(f"service rate mu{key} must be positive")
     if n_controls < 1:
         raise ModelError("n_controls must be >= 1")
-    dw = np.zeros(2) if idle_weights is None else np.asarray(idle_weights, dtype=float)
-    if dw.shape != (2,):
-        raise ModelError("idle_weights must be a 2-vector")
 
     m1, m2 = w_network_matrices(mu)
     sig = np.diag(np.sqrt(2.0 * lam))
@@ -353,14 +348,8 @@ def builtin_w_network(
     def cost(x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        ex = np.sum(x, axis=-1)
-        pos = np.maximum(ex, 0.0)
-        neg = np.maximum(-ex, 0.0)
-        uc_part = np.broadcast_to(u[..., :3], np.shape(x))
-        us_part = np.broadcast_to(u[..., 3:], np.shape(x)[:-1] + (2,))
-        queue = pos * (uc_part @ cw)
-        idle = neg * (us_part @ dw)
-        return queue + idle
+        pos = np.maximum(np.sum(x, axis=-1), 0.0)
+        return pos * (np.broadcast_to(u[..., :3], np.shape(x)) @ cw)
 
     delta = float(region_delta)
 

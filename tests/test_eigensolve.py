@@ -9,7 +9,6 @@ from ersc.discretize import OperatorKernel, build_grid
 from ersc.eigensolve import (
     EigenSolveError,
     bracket_floor,
-    foster_lyapunov_certificate,
     policy_value,
     principal_eigenpair,
 )
@@ -112,52 +111,22 @@ def test_collatz_wielandt_bracket_encloses(ou_uncontrolled, grid_241):
     assert pair.bracket_width <= 1e-8
 
 
-def test_foster_certificate_constant_h():
-    # constant h shifts the spectrum: lambda = scale, W = 1
+def test_constant_cost_shifts_the_spectrum():
+    # a constant cost c shifts the spectrum: lambda = c, psi = 1
     pair = principal_eigenpair(TWO_STATE, 0.0625 * np.ones(2), tol=1e-12)
     assert abs(pair.value - 0.0625) <= 1e-11
     assert np.allclose(pair.vector, 1.0, atol=1e-10)
 
 
-def test_foster_certificate_ou(ou_uncontrolled, grid_241):
-    pol = MarkovPolicy.constant(0, grid_241.n_nodes)
-    h = lambda x, u: 1.0 + np.sum(np.asarray(x) ** 2, axis=-1)
-    cert = foster_lyapunov_certificate(
-        ou_uncontrolled, grid_241, pol, h, scale=0.0625, core_radius=2.0
-    )
-    assert np.isfinite(cert.eigenpair.value)
-    assert np.all(cert.eigenpair.vector > 0)
-    assert cert.drift_margin > 0  # inward drift outside the core ball
-
-
-def test_foster_certificate_zero_scale(ou_uncontrolled, grid_241):
-    pol = MarkovPolicy.constant(0, grid_241.n_nodes)
-    cert = foster_lyapunov_certificate(
-        ou_uncontrolled, grid_241, pol, lambda x, u: 1.0 + 0.0 * np.sum(x, axis=-1), scale=0.0
-    )
-    assert abs(cert.eigenpair.value) <= 1e-10
-    assert np.allclose(cert.eigenpair.vector, 1.0, atol=1e-8)
-
-
-def test_foster_certificate_core_covering_grid_raises(ou_uncontrolled, grid_241, monkeypatch):
-    def no_factorization(*args, **kwargs):
-        raise AssertionError("factorized before checking the core ball")
-
-    monkeypatch.setattr(spla, "splu", no_factorization)
-    pol = MarkovPolicy.constant(0, grid_241.n_nodes)
-    h = lambda x, u: 1.0 + np.sum(np.asarray(x) ** 2, axis=-1)
-    with pytest.raises(ValueError, match="covers every node"):
-        foster_lyapunov_certificate(ou_uncontrolled, grid_241, pol, h, scale=0.0625, core_radius=6.0)
-
-
-def _ou_chain(model, grid):
+def _chain(model, grid):
+    """Control 0's generator and running cost."""
     kernel = OperatorKernel(model, grid)
     Q = kernel.assemble_policy(MarkovPolicy.constant(0, grid.n_nodes))
     return Q, model.cost_table(kernel.coords)[0]
 
 
 def test_tolerance_below_rounding_floor_raises_at_once(ou_uncontrolled, grid_241, monkeypatch):
-    Q, r = _ou_chain(ou_uncontrolled, grid_241)
+    Q, r = _chain(ou_uncontrolled, grid_241)
     floor = bracket_floor(Q, r)
     row_sums = np.abs(Q.toarray() + np.diag(r)).sum(axis=1)
     assert np.isclose(floor, 8.0 * np.finfo(float).eps * row_sums.max(), rtol=1e-12)
@@ -174,7 +143,7 @@ def test_tolerance_below_rounding_floor_raises_at_once(ou_uncontrolled, grid_241
 def test_tolerance_not_finite_and_positive_raises_before_factorization(
     ou_uncontrolled, lq_model, grid_241, monkeypatch
 ):
-    Q, r = _ou_chain(ou_uncontrolled, grid_241)
+    Q, r = _chain(ou_uncontrolled, grid_241)
 
     def no_factorization(*args, **kwargs):
         raise AssertionError("factorized before checking the tolerance")
@@ -211,17 +180,18 @@ def test_small_kappa_lq_bracket_is_edge_difference_ratio(lq_model):
 def test_w_network_converges_below_old_stall(w_network):
     # COLAMD with partial pivoting stalled near 5.8e-10 on this chain and
     # MMD with pivoting near 9e-12; the no-pivot M-matrix elimination
-    # reaches 2.6e-13 (floor 2.8e-13) in 65 iterations
+    # reaches 2.6e-13 (floor 2.8e-13).  policy_value takes the LU-free loop
+    # on 3D grids, so the inverse iteration is called directly.
     grid = build_grid([4.0] * 3, [15] * 3)
-    pol = MarkovPolicy.constant(0, grid.n_nodes)
-    loose = policy_value(w_network, grid, pol, tol=1e-9)
-    tight = policy_value(w_network, grid, pol, tol=1e-12)
+    Q, r = _chain(w_network, grid)
+    loose = principal_eigenpair(Q, r, tol=1e-9, origin_node=grid.origin_node)
+    tight = principal_eigenpair(Q, r, tol=1e-12, origin_node=grid.origin_node)
     assert tight.bracket_width <= 1e-12
     assert loose.cw_lower <= tight.cw_lower <= tight.cw_upper <= loose.cw_upper
 
 
 def test_failed_factorization_backs_off(ou_uncontrolled, grid_241, monkeypatch):
-    Q, r = _ou_chain(ou_uncontrolled, grid_241)
+    Q, r = _chain(ou_uncontrolled, grid_241)
     origin = grid_241.origin_node
     plain = principal_eigenpair(Q, r, tol=1e-10, origin_node=origin)
     orig, calls = spla.splu, []
@@ -243,7 +213,7 @@ def test_failed_factorization_backs_off(ou_uncontrolled, grid_241, monkeypatch):
 
 
 def test_start_vector_validated_before_factorization(ou_uncontrolled, grid_241, monkeypatch):
-    Q, r = _ou_chain(ou_uncontrolled, grid_241)
+    Q, r = _chain(ou_uncontrolled, grid_241)
     n = grid_241.n_nodes
 
     def no_factorization(*args, **kwargs):
@@ -258,7 +228,7 @@ def test_start_vector_validated_before_factorization(ou_uncontrolled, grid_241, 
 
 
 def test_start_from_converged_vector(ou_uncontrolled, grid_241):
-    Q, r = _ou_chain(ou_uncontrolled, grid_241)
+    Q, r = _chain(ou_uncontrolled, grid_241)
     origin = grid_241.origin_node
     cold = principal_eigenpair(Q, r, tol=1e-10, origin_node=origin)
     warm = principal_eigenpair(Q, r, tol=1e-10, origin_node=origin, start=cold.vector)
@@ -270,9 +240,9 @@ def test_start_from_converged_vector(ou_uncontrolled, grid_241):
 
 
 def test_ou_factorization_count(ou_uncontrolled, grid_241, monkeypatch):
-    # a 1D factor costs about one solve, so every move pays and the
-    # five-solve floor sets the pace: 6 factors, as with a fixed period of five
-    Q, r = _ou_chain(ou_uncontrolled, grid_241)
+    # the shift moves after every five solves whenever its target is a
+    # quarter closer to up: 6 factors, as with a fixed period of five
+    Q, r = _chain(ou_uncontrolled, grid_241)
     orig, calls = spla.splu, []
 
     def spy(*args, **kwargs):
@@ -285,8 +255,8 @@ def test_ou_factorization_count(ou_uncontrolled, grid_241, monkeypatch):
     assert pair.bracket_width <= 1e-10
 
 
-def test_refactor_rule_is_deterministic(w_network):
-    # the rule reads the factor's fill and the bracket widths, never a clock
+def test_w_network_policy_value_is_deterministic(w_network):
+    # the LU-free loop reads no clock: two calls agree bit for bit
     grid = build_grid([4.0] * 3, [11] * 3)
     pol = MarkovPolicy.constant(0, grid.n_nodes)
     a, b = (policy_value(w_network, grid, pol, tol=1e-10) for _ in range(2))
@@ -294,3 +264,4 @@ def test_refactor_rule_is_deterministic(w_network):
         b.value, b.cw_lower, b.cw_upper, b.iterations
     )
     assert np.array_equal(a.vector, b.vector)
+    assert a.bracket_width <= 1e-10
